@@ -8,13 +8,14 @@
 //! - serving (`serve`): a separate `qucad-serve` process driven open loop;
 //! - the 16-qubit trajectory sweep (`wide`): `quasim::trajectory` panels.
 //!
-//! The workload chooses how many worker threads every part may use
-//! (`threads2`, the pinned setting, or `threads1`, the single-thread
-//! baseline of the same problem). With `--trace 0` the run reports the
+//! Every part runs on the pinned two worker threads (two serving
+//! workers). The workload chooses the trajectory panel kernels: the
+//! host's dispatch (`threads2`, AVX2 where the host has it) or the
+//! portable scalar kernels (`scalar`). With `--trace 0` the run reports the
 //! end-to-end metrics; with `--trace 1` it records spans around its calls
 //! into each layer and reports the per-layer metrics instead.
 //!
-//! Usage: `e2ebench --workload threads2|threads1 [--seed N] [--seconds S]
+//! Usage: `e2ebench --workload threads2|scalar [--seed N] [--seconds S]
 //! [--trace 0|1]`. The last line of standard output is the JSON result.
 
 mod clock;
@@ -35,37 +36,34 @@ use report::{result_line, Checks, Metrics, END_TO_END, PER_LAYER};
 use stats::median;
 use trace::{check_additivity, Tracer};
 
-/// Set-up repeats whose median is reported as `setup_s`.
+/// Set-up repeats of each part before the first round (the Table I part
+/// repeats its set-up once more in every round); the fastest set-up of
+/// each part counts towards `setup_s`, since other load on the host only
+/// ever slows a set-up down.
 pub const SETUP_REPEATS: usize = 3;
 
 /// Rounds every untraced run makes, however short `--seconds` is; more
 /// follow while the run is younger than `--seconds`.
 const MIN_ROUNDS: usize = 2;
 
-/// One workload: the worker-thread count every part runs with, and the
-/// serving load that fits it.
+/// Worker threads of every part, and workers of the server.
+const THREADS: usize = 2;
+
+/// One workload: whether the trajectory panels run the portable scalar
+/// kernels instead of the host's dispatch.
 struct Workload {
     name: &'static str,
-    threads: usize,
-    load: serve::Load,
+    scalar_kernels: bool,
 }
 
 const WORKLOADS: [Workload; 2] = [
     Workload {
         name: "threads2",
-        threads: 2,
-        load: serve::Load {
-            hi: 5000.0,
-            start: 18,
-        },
+        scalar_kernels: false,
     },
     Workload {
-        name: "threads1",
-        threads: 1,
-        load: serve::Load {
-            hi: 3000.0,
-            start: 15,
-        },
+        name: "scalar",
+        scalar_kernels: true,
     },
 ];
 
@@ -117,7 +115,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    let workload = workload.ok_or("--workload is required (threads2 or threads1)")?;
+    let workload = workload.ok_or("--workload is required (threads2 or scalar)")?;
     if seconds == 0 {
         return Err("--seconds must be positive".to_string());
     }
@@ -131,15 +129,19 @@ fn parse_args() -> Result<Args, String> {
 
 /// Pins every environment knob the measured code reads: no ambient
 /// `QUCAD_*` variable (backend, panel width, scalar kernels, scale,
-/// serve knobs) survives, and the thread count is the workload's. Runs
-/// before any thread is started.
-fn pin_environment(threads: usize) {
+/// serve knobs) survives, the thread count is `THREADS`, and the scalar
+/// panel kernels are forced when the workload asks for them. Runs before
+/// any thread is started.
+fn pin_environment(scalar_kernels: bool) {
     for (key, _) in std::env::vars() {
         if key.starts_with("QUCAD_") {
             std::env::remove_var(key);
         }
     }
-    std::env::set_var("QUCAD_THREADS", threads.to_string());
+    std::env::set_var("QUCAD_THREADS", THREADS.to_string());
+    if scalar_kernels {
+        std::env::set_var("QUCAD_FORCE_SCALAR", "1");
+    }
 }
 
 /// Host facts every result depends on.
@@ -193,7 +195,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    pin_environment(args.workload.threads);
+    pin_environment(args.workload.scalar_kernels);
     eprintln!(
         "[e2ebench] workload={} seed={:?} seconds={} trace={} host: {}",
         args.workload.name,
@@ -216,7 +218,6 @@ fn run(args: &Args) -> std::io::Result<String> {
     let seed = |default: u64| args.seed.unwrap_or(default);
     let mut checks = Checks::default();
     let mut metrics = Metrics::default();
-    let load = &args.workload.load;
 
     if args.trace {
         let mut tracer = Tracer::new(true);
@@ -227,7 +228,6 @@ fn run(args: &Args) -> std::io::Result<String> {
             serve::run_traced(
                 &serve_bin,
                 seed(serve::DEFAULT_SEED),
-                load,
                 t,
                 &mut checks,
                 &mut metrics,
@@ -249,14 +249,18 @@ fn run(args: &Args) -> std::io::Result<String> {
     // Set-up of every part, then rounds. A round is one Table I sweep,
     // one serving block and one wide pass, so that a slow stretch of the
     // host lands in one round of every part rather than in all of one
-    // part; every metric is a median over the rounds (and windows).
-    let (mut t1, t1_setup) = table1::Table1::setup(seed(table1::DEFAULT_SEED), &mut checks);
+    // part. Every metric keeps the fastest observation: of each part's
+    // set-ups (Table I sets up once more per round), of each `run_method`
+    // call over the rounds, of the wide passes, and the lowest p50 of a
+    // serving window.
+    let mut t1 = table1::Table1::setup(seed(table1::DEFAULT_SEED), &mut checks);
     let (mut sv, sv_setup) =
-        serve::ServeBench::setup(&serve_bin, seed(serve::DEFAULT_SEED), *load, &mut checks)?;
+        serve::ServeBench::setup(&serve_bin, seed(serve::DEFAULT_SEED), &mut checks)?;
     let (mut wd, wd_setup) = wide::Wide::setup(seed(wide::DEFAULT_SEED));
     eprintln!(
-        "[e2ebench] set-up medians: table1 {t1_setup:.4} s, serve {sv_setup:.4} s, \
-         wide {wd_setup:.4} s"
+        "[e2ebench] fastest set-ups: table1 {:.4} s, serve {sv_setup:.4} s, \
+         wide {wd_setup:.4} s",
+        t1.setup_s()
     );
     let budget = Duration::from_secs(args.seconds);
     let start = Stamp::now();
@@ -276,7 +280,8 @@ fn run(args: &Args) -> std::io::Result<String> {
         );
         round += 1;
     }
-    t1.finish(&mut metrics);
+    let t1_setup = t1.setup_s();
+    t1.finish(&mut checks, &mut metrics);
     sv.finish(&mut checks, &mut metrics);
     wd.finish(&mut checks, &mut metrics);
     metrics.set("setup_s", t1_setup + sv_setup + wd_setup);

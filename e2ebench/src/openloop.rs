@@ -47,14 +47,6 @@ impl PhaseTimes {
             .collect()
     }
 
-    /// Answers per second over the phase: answered requests over the time
-    /// from the first due time to the last answer.
-    pub fn achieved_rps(&self) -> f64 {
-        let last = self.done.iter().flatten().copied().fold(0.0, f64::max);
-        let answered = self.done.len() - self.failed();
-        answered as f64 / (last - self.due.first().copied().unwrap_or(0.0))
-    }
-
     /// Whether the phase's queue grew (see [`backlog_growing`]).
     pub fn backlog_growing(&self) -> bool {
         self.failed() > 0 || backlog_growing(&self.latencies_ms())
@@ -123,7 +115,6 @@ mod tests {
         assert!(!p.backlog_growing());
         assert!(p.meets(5.0));
         assert!(!p.meets(2.0), "p99 above the limit");
-        assert!((p.achieved_rps() - 1000.0).abs() < 2.0);
     }
 
     #[test]

@@ -14,6 +14,7 @@ pub type Spec = (&'static str, &'static str);
 pub const END_TO_END: &[Spec] = &[
     ("setup_s", "s"),
     ("table1_s", "s"),
+    ("qucad_acc", "%"),
     ("serve_lo_p50_ms", "ms"),
     ("serve_hi_p50_ms", "ms"),
     ("traj_per_s", "traj/s"),

@@ -3,8 +3,9 @@
 //! a fixed schedule, a receiver thread collects answers). The request
 //! recipe is `qucad_load`'s: three circuit structures spread over every
 //! calibration day, from four logical clients. It runs at a `lo` rate
-//! well below saturation and a `hi` rate near the knee; traced runs also
-//! climb a fixed rate ladder. Only this part exercises `serve::codec`,
+//! well below saturation and a higher `hi` rate that still sits below the
+//! knee (batches of about one request); traced runs also climb a fixed
+//! rate ladder up to the knee. Only this part exercises `serve::codec`,
 //! the batch queue and cross-client batching.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -26,7 +27,7 @@ use qucad_serve::scenario::ServeScenario;
 
 use crate::openloop::{due_s, PhaseTimes};
 use crate::report::{Checks, Metrics};
-use crate::stats::{max, median, min, nearest_rank, p99_with_failures};
+use crate::stats::{median, min, nearest_rank, p99_with_failures};
 use crate::trace::Tracer;
 use crate::{time_per_call, SETUP_REPEATS};
 
@@ -43,39 +44,25 @@ const QUEUE_DEPTH: usize = 256;
 /// Requests per measurement window and per ladder step: enough for a
 /// p99 with ten samples beyond it.
 const WINDOW_REQUESTS: usize = 1000;
-/// Attempts a ladder rung gets before it counts as failed.
-const RUNG_ATTEMPTS: usize = 3;
-/// Bisection steps between the last passing and the first failing rung.
-const BISECTIONS: usize = 2;
-/// The `lo` rate, req/s: well below saturation for one or two workers.
+/// The `lo` rate, req/s: well below saturation.
 const LO_RATE: f64 = 2000.0;
+/// The `hi` rate, req/s: the highest fixed rate at which the p50 stayed
+/// steady on a shared 2-core host, below the knee.
+const HI_RATE: f64 = 5000.0;
 /// Latency limit the ladder's p99 must meet, ms.
 const LIMIT_MS: f64 = 10.0;
-/// Ladder rungs, req/s, 12% apart; a climb is refined by bisection.
+/// Ladder rungs, req/s, 12% apart; a climb starts at the first, below
+/// the knee.
 const LADDER: &[f64] = &[
-    1000.0, 1120.0, 1250.0, 1400.0, 1570.0, 1760.0, 1970.0, 2200.0, 2470.0, 2770.0, 3100.0, 3470.0,
-    3890.0, 4350.0, 4880.0, 5460.0, 6120.0, 6850.0, 7670.0, 8590.0, 9620.0, 10780.0, 12070.0,
-    13520.0, 15140.0, 16960.0,
+    4880.0, 5460.0, 6120.0, 6850.0, 7670.0, 8590.0, 9620.0, 10780.0, 12070.0, 13520.0, 15140.0,
+    16960.0,
 ];
 /// Measurement windows per round at the `lo` and at the `hi` rate.
 const LO_WINDOWS: usize = 4;
 const HI_WINDOWS: usize = 6;
-/// Ladder climbs of a traced run; the best one is reported.
-const CLIMBS: usize = 2;
 /// How long the receiver waits for any one answer before counting the
 /// rest of the phase as failed.
 const RECV_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// The fixed load of one workload. The server runs as many workers as
-/// the workload has threads.
-#[derive(Debug, Clone, Copy)]
-pub struct Load {
-    /// The `hi` rate, req/s: the highest fixed rate at which the p50
-    /// stays steady on a shared 2-core host, below the knee.
-    pub hi: f64,
-    /// Index of the `LADDER` rung a climb starts from, near the knee.
-    pub start: usize,
-}
 
 /// The recipe request with global sequence number `k`.
 fn recipe(n_weights: usize, k: u64) -> Request {
@@ -339,61 +326,25 @@ impl Generator {
             .collect()
     }
 
-    /// One ladder rung at `rate`: the achieved rate if it meets the
-    /// limit. A failing rung is run up to `RUNG_ATTEMPTS` times before it
-    /// counts as failed, so that a scheduling stall of the host does not
-    /// end the climb.
-    fn rung(&mut self, rate: f64) -> io::Result<Option<f64>> {
-        for _ in 0..RUNG_ATTEMPTS {
-            let step = self.phase(rate, WINDOW_REQUESTS, false)?;
-            if step.times.meets(LIMIT_MS) {
-                return Ok(Some(step.times.achieved_rps()));
+    /// Climbs `LADDER` once while each rung's p99 meets the limit without
+    /// a growing backlog; returns the last passing rung, req/s (0 if the
+    /// first rung fails).
+    fn ladder(&mut self) -> io::Result<f64> {
+        let mut passed = 0.0;
+        for &rate in LADDER {
+            let step = self.phase(rate, WINDOW_REQUESTS, false)?.times;
+            if !step.meets(LIMIT_MS) {
+                eprintln!(
+                    "[serve] ladder: {rate} req/s failed (p99 {:?} ms, backlog growing: {})",
+                    p99_with_failures(&step.latencies_ms(), step.failed()),
+                    step.backlog_growing()
+                );
+                break;
             }
+            passed = rate;
         }
-        Ok(None)
-    }
-
-    /// Finds the highest rung that meets the limit: from the start rung
-    /// it climbs while rungs pass (or descends until one passes), then
-    /// bisects between the highest passing and the lowest failing rung.
-    /// Returns the achieved rate of the highest passing step (0 if none
-    /// passed).
-    fn ladder(&mut self, load: &Load) -> io::Result<f64> {
-        let rungs = LADDER;
-        let mut best: Option<(f64, f64)> = None; // (offered, achieved)
-        let mut failed_at = None;
-        let mut i = load.start.min(rungs.len() - 1);
-        loop {
-            match self.rung(rungs[i])? {
-                Some(achieved) => {
-                    best = Some((rungs[i], achieved));
-                    if failed_at.is_some() || i + 1 == rungs.len() {
-                        break;
-                    }
-                    i += 1;
-                }
-                None => {
-                    failed_at = Some(rungs[i]);
-                    if best.is_some() || i == 0 {
-                        break;
-                    }
-                    i -= 1;
-                }
-            }
-        }
-        if let (Some((mut lo, _)), Some(mut hi)) = (best, failed_at) {
-            for _ in 0..BISECTIONS {
-                let rate = 0.5 * (lo + hi);
-                if let Some(achieved) = self.rung(rate)? {
-                    lo = rate;
-                    best = Some((rate, achieved));
-                } else {
-                    hi = rate;
-                }
-            }
-        }
-        eprintln!("[serve] ladder: highest passing {best:?}, lowest failing {failed_at:?}");
-        Ok(best.map_or(0.0, |(_, achieved)| achieved))
+        eprintln!("[serve] ladder: last passing rung {passed} req/s");
+        Ok(passed)
     }
 }
 
@@ -522,7 +473,6 @@ fn n_weights(seed: u64) -> usize {
 /// of `lo` and `hi` windows per round.
 pub struct ServeBench {
     seed: u64,
-    load: Load,
     server: Server,
     generator: Generator,
     /// Windows at `lo` and at `hi`, one list per round.
@@ -532,13 +482,8 @@ pub struct ServeBench {
 
 impl ServeBench {
     /// Set-up: spawn to first answer, `SETUP_REPEATS` times (all but the
-    /// last server are shut down again); returns the median time.
-    pub fn setup(
-        bin: &Path,
-        seed: u64,
-        load: Load,
-        checks: &mut Checks,
-    ) -> io::Result<(Self, f64)> {
+    /// last server are shut down again); returns the fastest time.
+    pub fn setup(bin: &Path, seed: u64, checks: &mut Checks) -> io::Result<(Self, f64)> {
         let n_weights = n_weights(seed);
         let mut served = Served::default();
         let mut next_k = 0;
@@ -561,13 +506,12 @@ impl ServeBench {
         let (server, conn) = kept.expect("at least one set-up");
         let part = ServeBench {
             seed,
-            load,
             server,
             generator: Generator::new(conn, n_weights, next_k, served)?,
             lo: Vec::new(),
             hi: Vec::new(),
         };
-        Ok((part, median(&setups)))
+        Ok((part, min(&setups)))
     }
 
     /// One block: `LO_WINDOWS` windows at `lo`, then `HI_WINDOWS` at `hi`.
@@ -575,7 +519,7 @@ impl ServeBench {
         self.lo
             .push(self.generator.windows(LO_RATE, LO_WINDOWS, false)?);
         self.hi
-            .push(self.generator.windows(self.load.hi, HI_WINDOWS, false)?);
+            .push(self.generator.windows(HI_RATE, HI_WINDOWS, false)?);
         Ok(())
     }
 
@@ -614,7 +558,6 @@ impl ServeBench {
 pub fn run_traced(
     bin: &Path,
     seed: u64,
-    load: &Load,
     tracer: &mut Tracer,
     checks: &mut Checks,
     out: &mut Metrics,
@@ -636,14 +579,10 @@ pub fn run_traced(
         io::Result::Ok(summarize(&windows))
     })?;
     let hi = tracer.span("bench.serve.hi", |_| {
-        io::Result::Ok(summarize(&generator.windows(load.hi, WINDOWS, false)?))
+        io::Result::Ok(summarize(&generator.windows(HI_RATE, WINDOWS, false)?))
     })?;
-    let climbs = tracer.span("bench.serve.ladder", |_| {
-        (0..CLIMBS)
-            .map(|_| generator.ladder(load))
-            .collect::<io::Result<Vec<f64>>>()
-    })?;
-    out.set("serve.max_rps", max(&climbs));
+    let max_rps = tracer.span("bench.serve.ladder", |_| generator.ladder())?;
+    out.set("serve.max_rps", max_rps);
     let (acked, served) = generator.shutdown();
     checks.op(server.stop(acked), "serve: server exits cleanly");
     verify(&served, seed, checks);
