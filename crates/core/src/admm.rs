@@ -20,12 +20,13 @@ use crate::levels::CompressionTable;
 use crate::mask::{gate_associations, priorities, GateAssoc, SelectionRule};
 use calibration::snapshot::CalibrationSnapshot;
 use qnn::data::Sample;
+use qnn::executor::parallel::worker_threads;
 use qnn::executor::NoisyExecutor;
-use qnn::loss::cross_entropy;
 use qnn::model::VqcModel;
 use qnn::optim::Adam;
-use qnn::probe::pure_fd_probes;
-use qnn::train::{train_spsa_masked, Env, SpsaConfig};
+use qnn::train::{
+    pure_fd_gradient, train_masked_with_threads, train_spsa_masked_with_threads, Env, SpsaConfig,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -106,7 +107,9 @@ impl CompressionOutcome {
 }
 
 /// Runs noise-aware (or noise-agnostic) ADMM compression of `init_weights`
-/// for the given calibration snapshot, then noise-injection fine-tuning.
+/// for the given calibration snapshot, then noise-injection fine-tuning,
+/// with [`qnn::executor::parallel::worker_threads`] workers; see
+/// [`compress_with_threads`].
 ///
 /// # Panics
 ///
@@ -119,6 +122,35 @@ pub fn compress(
     table: &CompressionTable,
     config: &AdmmConfig,
     init_weights: &[f64],
+) -> CompressionOutcome {
+    compress_with_threads(
+        model,
+        exec,
+        train_set,
+        snapshot,
+        table,
+        config,
+        init_weights,
+        worker_threads(),
+    )
+}
+
+/// [`compress`] with every training stage fanned over `threads` workers.
+/// The outcome is bit-identical for every `threads` value.
+///
+/// # Panics
+///
+/// Panics if `train_set` is empty or `init_weights` mismatches the model.
+#[allow(clippy::too_many_arguments)]
+pub fn compress_with_threads(
+    model: &VqcModel,
+    exec: &NoisyExecutor,
+    train_set: &[Sample],
+    snapshot: &CalibrationSnapshot,
+    table: &CompressionTable,
+    config: &AdmmConfig,
+    init_weights: &[f64],
+    threads: usize,
 ) -> CompressionOutcome {
     assert!(!train_set.is_empty(), "empty training set");
     assert_eq!(
@@ -205,26 +237,16 @@ pub fn compress(
 
             // Loss gradient by central differences (pure environment: the
             // paper's f is the training loss; noise enters via mask + the
-            // fine-tune below). Probes of every θ coordinate run through
-            // the prefix-sharing engine — one sweep per sample instead of
-            // 2·P full state-vector runs, bit-identical sums.
+            // fine-tune below), through the shared noise-free FD path.
             let mut grad = penalty_grad(&theta);
-            n_evals += batch.len() as u64; // base loss bookkeeping
             let slots: Vec<usize> = (0..theta.len()).collect();
-            let mut fp_sum = vec![0.0; theta.len()];
-            let mut fm_sum = vec![0.0; theta.len()];
-            for s in &batch {
-                let probes = pure_fd_probes(model, &s.features, &theta, config.grad_step, &slots);
-                for (t, (_, zp, zm)) in probes.shifted.iter().enumerate() {
-                    fp_sum[t] += cross_entropy(zp, s.label);
-                    fm_sum[t] += cross_entropy(zm, s.label);
-                }
+            let (_, loss_grad) =
+                pure_fd_gradient(model, &batch, &theta, &slots, config.grad_step, threads);
+            for (g, lg) in grad.iter_mut().zip(&loss_grad) {
+                *g += lg;
             }
-            let b = batch.len() as f64;
-            for i in 0..theta.len() {
-                n_evals += 2 * batch.len() as u64;
-                grad[i] += (fp_sum[i] / b - fm_sum[i] / b) / (2.0 * config.grad_step);
-            }
+            // The base loss plus the ±h probes of every coordinate.
+            n_evals += batch.len() as u64 * (1 + 2 * theta.len() as u64);
             opt.step(&mut theta, &grad);
         }
 
@@ -271,8 +293,15 @@ pub fn compress(
             seed: config.seed ^ 0x51ed_270b,
             grad_step: config.grad_step,
         };
-        let result =
-            qnn::train::train_masked(model, train_set, Env::Pure, &rec_cfg, &theta, &trainable);
+        let result = train_masked_with_threads(
+            model,
+            train_set,
+            Env::Pure,
+            &rec_cfg,
+            &theta,
+            &trainable,
+            threads,
+        );
         theta = result.weights;
         n_evals += result.n_evals;
     }
@@ -289,7 +318,9 @@ pub fn compress(
             seed: config.seed ^ 0x9e37_79b9,
         };
         let env = Env::Noisy { exec, snapshot };
-        let result = train_spsa_masked(model, train_set, env, &ft_cfg, &theta, &trainable);
+        let result = train_spsa_masked_with_threads(
+            model, train_set, env, &ft_cfg, &theta, &trainable, threads,
+        );
         theta = result.weights;
         n_evals += result.n_evals;
     }
@@ -487,6 +518,35 @@ mod tests {
             &init,
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn outcome_identical_across_thread_counts() {
+        let (model, _, exec, data, snap) = setup();
+        let table = CompressionTable::standard();
+        let init = model.init_weights(9);
+        let cfg = AdmmConfig {
+            finetune_pure_epochs: 1,
+            ..quick_cfg()
+        };
+        let run = |threads| {
+            compress_with_threads(
+                &model,
+                &exec,
+                &data.train,
+                &snap,
+                &table,
+                &cfg,
+                &init,
+                threads,
+            )
+        };
+        let one = run(1);
+        let two = run(2);
+        assert_eq!(one.mask, two.mask);
+        assert_eq!(one.n_evals, two.n_evals);
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one.weights), bits(&two.weights));
     }
 
     #[test]

@@ -64,10 +64,10 @@
 //!   panel width, exactly like the density path.
 
 use crate::model::VqcModel;
+use crate::probe::PureSweep;
 use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
 use quasim::density::{DensityMatrix, SimWorkspace, MAX_DENSITY_QUBITS};
-use quasim::statevector::StateVector;
 use quasim::trajectory::{
     estimate_prob_one_panel, estimate_prob_one_panel_multi, panel_width_from_env,
     TrajectoryEstimate, TrajectoryPanel,
@@ -78,7 +78,8 @@ use transpile::fuse::{fuse_native_compacted, fuse_native_trajectory, QubitCompac
 use transpile::route::{route, PhysicalCircuit};
 use transpile::template::{structure_key, CircuitTemplate, StructureKey};
 
-/// Noise-free evaluation: per-class `⟨Z⟩` scores on the logical circuit.
+/// Noise-free evaluation: per-class `⟨Z⟩` scores on the logical circuit,
+/// run by the prebound engine of [`crate::probe`].
 ///
 /// # Examples
 ///
@@ -96,15 +97,7 @@ use transpile::template::{structure_key, CircuitTemplate, StructureKey};
 ///
 /// Panics if slice lengths do not match the model.
 pub fn pure_z_scores(model: &VqcModel, features: &[f64], weights: &[f64]) -> Vec<f64> {
-    let full = model.full_params(features, weights);
-    let gates = model.circuit().bind(&full);
-    let mut sv = StateVector::zero_state(model.n_qubits());
-    sv.run(&gates);
-    model
-        .measured_logical()
-        .iter()
-        .map(|&q| sv.expect_z(q))
-        .collect()
+    PureSweep::new(model).z_scores(features, weights).to_vec()
 }
 
 /// Which engine simulates the noisy circuit.

@@ -1,31 +1,43 @@
-//! Batched noise-free probe evaluation for finite-difference gradients.
+//! The noise-free (pure-environment) state-vector engine.
 //!
-//! The pure finite-difference loop in [`crate::train::train_masked`] (and
-//! the ADMM θ-update) evaluates `2·P` shifted weight vectors per sample,
-//! each as a full bind + state-vector run even though a ±h shift of weight
-//! `i` changes only the gate(s) referencing parameter slot `i`. This
-//! module exploits that: one pass binds the base circuit, advances a
-//! shared **prefix state** gate by gate, and evaluates every ± probe by
-//! copying the prefix at the probe's divergence point and replaying only
-//! the suffix with the affected gates re-bound at the shifted angle.
+//! Every noise-free evaluation in production runs here: single
+//! evaluations ([`crate::executor::pure_z_scores`]) and the
+//! finite-difference sweeps of base training, the ADMM θ-update and the
+//! ADMM recovery fine-tune ([`crate::train::pure_fd_gradient`]).
 //!
-//! **Bit-identity**: every probe's Z scores equal
-//! [`crate::executor::pure_z_scores`] at the correspondingly shifted
-//! weight vector, bit for bit. Gates before the divergence point bind to
-//! identical [`quasim::gate::BoundGate`]s (same angles → same matrices),
-//! so the saved prefix state is the state a from-scratch run would reach;
-//! unaffected suffix gates reuse the base-bound gates (their angles are
-//! untouched by the shift); affected gates are re-bound through the same
-//! [`transpile::circuit::Op::bind`] the full bind would use. The
-//! `pure_probes_match_full_reruns` tests pin this, and the golden
-//! z-score fixture pins the trained result end to end.
+//! Per sample, every op of the model's circuit is bound **once** into a
+//! stack-held [`PreboundGate`] (its 2×2 or 4×4 entries, with the kernel
+//! chosen by the gate kind) in a buffer reused across samples. A
+//! finite-difference sweep then evaluates the base circuit and the `±h`
+//! probe of every requested weight, exploiting that a shift of weight `i`
+//! changes only the ops referencing its parameter slot: one pass advances
+//! a shared **prefix state** gate by gate, and every probe copies the
+//! prefix at its divergence point (its first affected op, read from the
+//! circuit's param→ops index) and replays only the suffix, re-deriving
+//! just the affected ops' entries at the shifted angle.
 //!
-//! Cost per sample drops from `(1 + 2·P)` full runs to one full run plus
-//! `2·P` suffix replays (half the circuit on average, with no per-probe
-//! full bind), using two state vectors of memory total.
+//! **Bit-identity**: every z-score equals the reference path bit for bit
+//! — the [`transpile::circuit::Circuit::bind`] gates run through
+//! [`quasim::statevector::run_circuit`]'s `CMatrix` kernels at the
+//! correspondingly shifted weights:
+//!
+//! - the prebound entries are the reference's (`GateKind::entries_1q` /
+//!   `entries_2q` build `GateKind::matrix`), and the kernels keep its
+//!   expression order (see [`quasim::statevector`]);
+//! - gates before a probe's divergence point are bound at unshifted
+//!   angles, so the saved prefix is the state a from-scratch run reaches;
+//! - a shifted op is bound at `full[param] ± h`, the angle
+//!   [`transpile::circuit::Op::angle`] resolves from the shifted vector.
+//!
+//! The `prebound_props` tests pin this against the reference, and the
+//! golden z-score fixture pins the trained result end to end.
+//!
+//! Cost per sample: one bind, one full run and `2·P` suffix replays (half
+//! the circuit on average), on two state vectors; no allocation per gate
+//! or per probe.
 
 use crate::model::VqcModel;
-use quasim::statevector::StateVector;
+use quasim::statevector::{PreboundGate, StateVector};
 
 /// One probe's result: `(weight index, z at +h, z at −h)`.
 pub type ShiftedScores = (usize, Vec<f64>, Vec<f64>);
@@ -39,6 +51,183 @@ pub struct PureProbes {
     pub base: Vec<f64>,
     /// Per requested slot, in request order.
     pub shifted: Vec<ShiftedScores>,
+}
+
+/// Which evaluation of a finite-difference sweep a z-score vector belongs
+/// to; `Plus(t)` / `Minus(t)` index the request's `slots`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The unshifted weights.
+    Base,
+    /// Weight `slots[t]` shifted by `+h`.
+    Plus(usize),
+    /// Weight `slots[t]` shifted by `−h`.
+    Minus(usize),
+}
+
+/// The probes of one finite-difference request in sweep order, built once
+/// per request (it depends only on the model and the slots, not on the
+/// sample).
+pub(crate) struct FdPlan {
+    /// `(position in slots, parameter slot, divergence op index)`, sorted
+    /// by divergence; a parameter no op references diverges at the end.
+    probes: Vec<(usize, usize, usize)>,
+}
+
+impl FdPlan {
+    /// Plans the `±h` probes of every weight in `slots`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a slot index is out of range.
+    pub(crate) fn new(model: &VqcModel, slots: &[usize]) -> Self {
+        let circuit = model.circuit();
+        let mut probes: Vec<(usize, usize, usize)> = slots
+            .iter()
+            .enumerate()
+            .map(|(t, &slot)| {
+                let param = model.weight_slot(slot);
+                let div = circuit
+                    .ops_for_param(param)
+                    .first()
+                    .copied()
+                    .unwrap_or(circuit.len());
+                (t, param, div)
+            })
+            .collect();
+        probes.sort_by_key(|p| p.2);
+        FdPlan { probes }
+    }
+}
+
+/// One worker's reusable buffers for noise-free evaluation of `model`:
+/// the sample's flat parameters and prebound gates, the prefix and work
+/// states and a z-score buffer. Reused across samples, so a sweep
+/// allocates nothing per gate or per probe.
+pub(crate) struct PureSweep<'m> {
+    model: &'m VqcModel,
+    measured: Vec<usize>,
+    full: Vec<f64>,
+    gates: Vec<PreboundGate>,
+    prefix: StateVector,
+    work: StateVector,
+    z: Vec<f64>,
+}
+
+impl<'m> PureSweep<'m> {
+    /// Allocates the buffers for `model`.
+    pub(crate) fn new(model: &'m VqcModel) -> Self {
+        let state = StateVector::zero_state(model.n_qubits());
+        let measured = model.measured_logical();
+        PureSweep {
+            model,
+            z: vec![0.0; measured.len()],
+            measured,
+            full: Vec::with_capacity(model.n_features() + model.n_weights()),
+            gates: Vec::with_capacity(model.circuit().len()),
+            work: state.clone(),
+            prefix: state,
+        }
+    }
+
+    /// Binds every op of one sample and resets the prefix to `|0…0⟩`.
+    fn bind(&mut self, features: &[f64], weights: &[f64]) {
+        let model = self.model;
+        assert_eq!(features.len(), model.n_features(), "feature count mismatch");
+        assert_eq!(weights.len(), model.n_weights(), "weight count mismatch");
+        self.full.clear();
+        self.full.extend_from_slice(features);
+        self.full.extend_from_slice(weights);
+        self.gates.clear();
+        let full = &self.full;
+        self.gates.extend(
+            model
+                .circuit()
+                .ops()
+                .iter()
+                .map(|op| PreboundGate::new(op.kind, &op.qubits, op.angle(full))),
+        );
+        self.prefix.reset_zero();
+    }
+
+    /// Per-class `⟨Z⟩` of `state` into the z buffer.
+    fn observe<'z>(z: &'z mut [f64], measured: &[usize], state: &StateVector) -> &'z [f64] {
+        for (zk, &q) in z.iter_mut().zip(measured) {
+            *zk = state.expect_z(q);
+        }
+        z
+    }
+
+    /// Z scores of one sample at `weights`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths mismatch the model.
+    pub(crate) fn z_scores(&mut self, features: &[f64], weights: &[f64]) -> &[f64] {
+        self.bind(features, weights);
+        for g in &self.gates {
+            self.prefix.apply_prebound(g);
+        }
+        Self::observe(&mut self.z, &self.measured, &self.prefix)
+    }
+
+    /// Evaluates one sample's base circuit and the `±h` probes of `plan`,
+    /// sharing prefix states (see the [module docs](self)); `visit`
+    /// receives every probe's z scores, the base last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths mismatch the model or `h` is not finite.
+    pub(crate) fn fd_sweep(
+        &mut self,
+        plan: &FdPlan,
+        features: &[f64],
+        weights: &[f64],
+        h: f64,
+        mut visit: impl FnMut(Probe, &[f64]),
+    ) {
+        assert!(h.is_finite(), "shift must be finite");
+        self.bind(features, weights);
+        let circuit = self.model.circuit();
+        let ops = circuit.ops();
+        let mut cursor = 0usize;
+        for &(t, param, div) in &plan.probes {
+            // Advance the shared prefix to this probe's divergence point;
+            // every earlier probe diverged at or before it, so each gate is
+            // applied exactly once across the whole sweep.
+            while cursor < div {
+                self.prefix.apply_prebound(&self.gates[cursor]);
+                cursor += 1;
+            }
+            let affected = circuit.ops_for_param(param);
+            for (sign, probe) in [(1.0, Probe::Plus(t)), (-1.0, Probe::Minus(t))] {
+                let shifted = self.full[param] + sign * h;
+                self.work.clone_from(&self.prefix);
+                let mut next_affected = affected.iter().peekable();
+                for (idx, (op, gate)) in (div..).zip(ops[div..].iter().zip(&self.gates[div..])) {
+                    if next_affected.next_if_eq(&&idx).is_some() {
+                        self.work
+                            .apply_prebound(&PreboundGate::new(op.kind, &op.qubits, shifted));
+                    } else {
+                        self.work.apply_prebound(gate);
+                    }
+                }
+                visit(
+                    probe,
+                    Self::observe(&mut self.z, &self.measured, &self.work),
+                );
+            }
+        }
+        // Finish the base run: the prefix carried through every gate is the
+        // unshifted evaluation itself.
+        for g in &self.gates[cursor..] {
+            self.prefix.apply_prebound(g);
+        }
+        visit(
+            Probe::Base,
+            Self::observe(&mut self.z, &self.measured, &self.prefix),
+        );
+    }
 }
 
 /// Evaluates the base circuit and the `±h` finite-difference probes of
@@ -56,77 +245,16 @@ pub fn pure_fd_probes(
     h: f64,
     slots: &[usize],
 ) -> PureProbes {
-    assert!(h.is_finite(), "shift must be finite");
-    let full = model.full_params(features, weights);
-    let circuit = model.circuit();
-    let gates = circuit.bind(&full);
-    let ops = circuit.ops();
-    let measured = model.measured_logical();
-
-    // Divergence point of each requested slot: the first gate whose angle
-    // the shift changes (probes of a slot with no referencing op never
-    // diverge and reuse the base state).
-    let probes: Vec<(usize, usize, Vec<usize>)> = slots
-        .iter()
-        .map(|&slot| {
-            let param = model.weight_slot(slot);
-            let affected = circuit.ops_for_param(param);
-            (slot, param, affected)
-        })
-        .collect();
-    let mut order: Vec<usize> = (0..probes.len()).collect();
-    let divergence = |p: &(usize, usize, Vec<usize>)| p.2.first().copied().unwrap_or(gates.len());
-    order.sort_by_key(|&k| divergence(&probes[k]));
-
-    let mut prefix = StateVector::zero_state(model.n_qubits());
-    let mut work = prefix.clone();
-    let mut cursor = 0usize;
-    let mut full_shift = full.clone();
-    let mut results: Vec<Option<ShiftedScores>> = vec![None; probes.len()];
-
-    for &k in &order {
-        let (slot, param, affected) = &probes[k];
-        let div = divergence(&probes[k]);
-        // Advance the shared prefix to this probe's divergence point; every
-        // earlier probe diverged at or before it, so each gate is applied
-        // exactly once across the whole sweep.
-        while cursor < div {
-            prefix.apply(&gates[cursor]);
-            cursor += 1;
-        }
-        let mut run_shifted = |sign: f64| -> Vec<f64> {
-            full_shift[*param] = full[*param] + sign * h;
-            work.clone_from(&prefix);
-            let mut next_affected = affected.iter().peekable();
-            for idx in div..gates.len() {
-                if next_affected.peek() == Some(&&idx) {
-                    next_affected.next();
-                    work.apply(&ops[idx].bind(&full_shift));
-                } else {
-                    work.apply(&gates[idx]);
-                }
-            }
-            measured.iter().map(|&q| work.expect_z(q)).collect()
-        };
-        let zp = run_shifted(1.0);
-        let zm = run_shifted(-1.0);
-        full_shift[*param] = full[*param];
-        results[k] = Some((*slot, zp, zm));
-    }
-    // Finish the base run: the prefix carried through every gate is the
-    // unshifted evaluation itself.
-    while cursor < gates.len() {
-        prefix.apply(&gates[cursor]);
-        cursor += 1;
-    }
-    let base = measured.iter().map(|&q| prefix.expect_z(q)).collect();
-    PureProbes {
-        base,
-        shifted: results
-            .into_iter()
-            .map(|r| r.expect("every requested probe is evaluated"))
-            .collect(),
-    }
+    let plan = FdPlan::new(model, slots);
+    let mut base = Vec::new();
+    let mut shifted: Vec<ShiftedScores> =
+        slots.iter().map(|&s| (s, Vec::new(), Vec::new())).collect();
+    PureSweep::new(model).fd_sweep(&plan, features, weights, h, |probe, z| match probe {
+        Probe::Base => base = z.to_vec(),
+        Probe::Plus(t) => shifted[t].1 = z.to_vec(),
+        Probe::Minus(t) => shifted[t].2 = z.to_vec(),
+    });
+    PureProbes { base, shifted }
 }
 
 #[cfg(test)]

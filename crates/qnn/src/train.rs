@@ -27,9 +27,10 @@
 //!   circuit structure through the program cache and fans them across the
 //!   worker pool (or packs identical-program probes into shared
 //!   trajectory panels);
-//! - **the pure environment** goes through
-//!   [`crate::probe::pure_fd_probes`], which shares state-vector prefixes
-//!   between a sample's finite-difference probes.
+//! - **the pure environment** goes through [`pure_fd_gradient`]: the
+//!   prebound engine of [`crate::probe`] shares state-vector prefixes
+//!   between a sample's finite-difference probes, and the minibatch's
+//!   samples fan across the worker pool.
 //!
 //! Every noisy probe draws shot noise from a stream derived *positionally*
 //! from `(day, step, probe slot, sample index)` via
@@ -46,7 +47,7 @@ use crate::executor::{pure_z_scores, NoisyExecutor, ProbeBatch};
 use crate::loss::{accuracy, cross_entropy, mean_cross_entropy, predict};
 use crate::model::VqcModel;
 use crate::optim::Adam;
-use crate::probe::pure_fd_probes;
+use crate::probe::{FdPlan, Probe, PureSweep};
 use calibration::snapshot::CalibrationSnapshot;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -175,6 +176,91 @@ pub fn train_masked(
     )
 }
 
+/// Central-difference gradient from per-slot loss sums over a batch of
+/// `b` samples: `grad[slots[t]] = (fp_sum[t]/b − fm_sum[t]/b) / 2h`, zero
+/// elsewhere.
+fn fd_gradient(
+    n_weights: usize,
+    slots: &[usize],
+    fp_sum: &[f64],
+    fm_sum: &[f64],
+    b: f64,
+    h: f64,
+) -> Vec<f64> {
+    let mut grad = vec![0.0; n_weights];
+    for (t, &i) in slots.iter().enumerate() {
+        grad[i] = (fp_sum[t] / b - fm_sum[t] / b) / (2.0 * h);
+    }
+    grad
+}
+
+/// Mean base loss and central-difference gradient over the weights in
+/// `slots` of one minibatch in the noise-free environment.
+///
+/// Each sample is one prefix-sharing sweep of the prebound engine
+/// ([`crate::probe`]) instead of `1 + 2·|slots|` full state-vector runs.
+/// The samples are split into contiguous chunks over `threads` scoped
+/// workers, each with its own engine buffers; per-sample losses are
+/// written back by sample index and summed in batch order, so the result
+/// is bit-identical for every `threads` value (and to the plain
+/// per-sample loop of [`train_masked_sequential`]). Base training, the
+/// ADMM θ-update and the ADMM recovery fine-tune all run through here.
+///
+/// # Panics
+///
+/// Panics if `batch` is empty, slice lengths mismatch the model, a slot is
+/// out of range or `h` is not finite.
+pub fn pure_fd_gradient(
+    model: &VqcModel,
+    batch: &[&Sample],
+    weights: &[f64],
+    slots: &[usize],
+    h: f64,
+    threads: usize,
+) -> (f64, Vec<f64>) {
+    assert!(!batch.is_empty(), "empty batch");
+    let plan = FdPlan::new(model, slots);
+    // Per-sample losses, one row each: base, then `+h`/`−h` per slot.
+    let stride = 1 + 2 * slots.len();
+    let mut losses = vec![0.0; batch.len() * stride];
+    let run_chunk = |samples: &[&Sample], rows: &mut [f64]| {
+        let mut sweep = PureSweep::new(model);
+        for (s, row) in samples.iter().zip(rows.chunks_exact_mut(stride)) {
+            sweep.fd_sweep(&plan, &s.features, weights, h, |probe, z| {
+                let k = match probe {
+                    Probe::Base => 0,
+                    Probe::Plus(t) => 1 + 2 * t,
+                    Probe::Minus(t) => 2 + 2 * t,
+                };
+                row[k] = cross_entropy(z, s.label);
+            });
+        }
+    };
+    if threads <= 1 || batch.len() <= 1 {
+        run_chunk(batch, &mut losses);
+    } else {
+        let chunk = batch.len().div_ceil(threads);
+        std::thread::scope(|scope| {
+            for (samples, rows) in batch.chunks(chunk).zip(losses.chunks_mut(chunk * stride)) {
+                scope.spawn(|| run_chunk(samples, rows));
+            }
+        });
+    }
+    let mut base_sum = 0.0;
+    let mut fp_sum = vec![0.0; slots.len()];
+    let mut fm_sum = vec![0.0; slots.len()];
+    for row in losses.chunks_exact(stride) {
+        base_sum += row[0];
+        for t in 0..slots.len() {
+            fp_sum[t] += row[1 + 2 * t];
+            fm_sum[t] += row[2 + 2 * t];
+        }
+    }
+    let b = batch.len() as f64;
+    let grad = fd_gradient(weights.len(), slots, &fp_sum, &fm_sum, b, h);
+    (base_sum / b, grad)
+}
+
 /// Base loss and masked central-difference gradient of one minibatch,
 /// evaluated as a single probe batch.
 ///
@@ -198,19 +284,7 @@ fn masked_fd_gradient(
     let mut fp_sum = vec![0.0; slots.len()];
     let mut fm_sum = vec![0.0; slots.len()];
     match env {
-        Env::Pure => {
-            // One prefix-sharing sweep per sample replaces `1 + 2·|slots|`
-            // full state-vector runs; per-sample losses still accumulate in
-            // batch order, keeping the sums bit-identical to the loop.
-            for s in batch {
-                let probes = pure_fd_probes(model, &s.features, weights, h, slots);
-                base_sum += cross_entropy(&probes.base, s.label);
-                for (t, (_, zp, zm)) in probes.shifted.iter().enumerate() {
-                    fp_sum[t] += cross_entropy(zp, s.label);
-                    fm_sum[t] += cross_entropy(zm, s.label);
-                }
-            }
-        }
+        Env::Pure => return pure_fd_gradient(model, batch, weights, slots, h, threads),
         Env::Noisy { exec, snapshot } => {
             let day_stream = snapshot.day as u64;
             let mut shifted: Vec<Vec<f64>> = Vec::with_capacity(2 * slots.len());
@@ -252,10 +326,7 @@ fn masked_fd_gradient(
             }
         }
     }
-    let mut grad = vec![0.0; weights.len()];
-    for (t, &i) in slots.iter().enumerate() {
-        grad[i] = (fp_sum[t] / b - fm_sum[t] / b) / (2.0 * h);
-    }
+    let grad = fd_gradient(weights.len(), slots, &fp_sum, &fm_sum, b, h);
     (base_sum / b, grad)
 }
 

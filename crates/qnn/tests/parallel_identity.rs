@@ -1,14 +1,19 @@
 //! The batch-parallel evaluator's core contract: results are bit-identical
 //! to the sequential path on a fixed seed, for every thread count, at both
-//! the sample level and the day level.
+//! the sample level and the day level — and likewise for the noise-free
+//! finite-difference path, which fans a minibatch's samples over the
+//! workers.
 
 use calibration::history::{FluctuatingHistory, HistoryConfig};
 use calibration::snapshot::CalibrationSnapshot;
 use calibration::topology::Topology;
-use qnn::data::Dataset;
+use qnn::data::{Dataset, Sample};
 use qnn::executor::parallel::{accuracy_over_days, batch_accuracy, batch_z_scores, eval_stream};
 use qnn::executor::{NoiseOptions, NoisyExecutor};
 use qnn::model::VqcModel;
+use qnn::train::{
+    pure_fd_gradient, train_masked_sequential, train_masked_with_threads, Env, TrainConfig,
+};
 
 fn setup() -> (
     VqcModel,
@@ -115,4 +120,71 @@ fn seeded_scores_are_call_order_independent() {
         &[again],
         "same stream must reproduce identical scores",
     );
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn pure_fd_gradient_identical_across_thread_counts() {
+    let model = VqcModel::paper_model(4, 3, 4, 1);
+    let data = Dataset::iris(5).truncated(12, 4);
+    let weights = model.init_weights(3);
+    // A masked, non-contiguous slot set, as the ADMM fine-tune requests.
+    let slots: Vec<usize> = (0..model.n_weights()).filter(|i| i % 3 != 1).collect();
+    // Batches of 1, 2 and 5 samples are smaller than some thread counts
+    // and not a multiple of others.
+    for batch_len in [1, 2, 5, 12] {
+        let batch: Vec<&Sample> = data.train.iter().take(batch_len).collect();
+        let (loss, grad) = pure_fd_gradient(&model, &batch, &weights, &slots, 1e-3, 1);
+        for threads in [2, 3, 16] {
+            let (loss_t, grad_t) =
+                pure_fd_gradient(&model, &batch, &weights, &slots, 1e-3, threads);
+            let what = format!("batch={batch_len}, threads={threads}");
+            assert_eq!(loss.to_bits(), loss_t.to_bits(), "loss ({what})");
+            assert_eq!(bits(&grad), bits(&grad_t), "grad ({what})");
+        }
+    }
+}
+
+#[test]
+fn pure_training_identical_across_thread_counts() {
+    let model = VqcModel::paper_model(4, 3, 4, 1);
+    let data = Dataset::iris(5).truncated(11, 4);
+    let init = model.init_weights(8);
+    let trainable: Vec<bool> = (0..model.n_weights()).map(|i| i % 4 != 0).collect();
+    // 11 samples in batches of 5: the last batch has one sample.
+    let cfg = TrainConfig {
+        epochs: 2,
+        batch_size: 5,
+        lr: 0.1,
+        seed: 4,
+        grad_step: 1e-3,
+    };
+    let reference =
+        train_masked_sequential(&model, &data.train, Env::Pure, &cfg, &init, &trainable);
+    for threads in [1, 2, 3, 16] {
+        let run = train_masked_with_threads(
+            &model,
+            &data.train,
+            Env::Pure,
+            &cfg,
+            &init,
+            &trainable,
+            threads,
+        );
+        let what = format!("threads={threads}");
+        assert_eq!(
+            bits(&run.weights),
+            bits(&reference.weights),
+            "weights ({what})"
+        );
+        assert_eq!(
+            bits(&run.loss_history),
+            bits(&reference.loss_history),
+            "loss history ({what})"
+        );
+        assert_eq!(run.n_evals, reference.n_evals, "{what}");
+    }
 }

@@ -121,6 +121,18 @@ impl GateKind {
         }
     }
 
+    /// The one-qubit rotation a controlled rotation applies to its target
+    /// when the control is `1` (`Crx` → `Rx`, …); `None` for every other
+    /// kind.
+    pub fn controlled_base(self) -> Option<GateKind> {
+        match self {
+            GateKind::Crx => Some(GateKind::Rx),
+            GateKind::Cry => Some(GateKind::Ry),
+            GateKind::Crz => Some(GateKind::Rz),
+            _ => None,
+        }
+    }
+
     /// The unitary matrix of the gate.
     ///
     /// For parameterised kinds, `theta` supplies the rotation angle; it is
@@ -208,13 +220,10 @@ impl GateKind {
                 Complex64::real(-1.0),
             ],
             GateKind::Crx | GateKind::Cry | GateKind::Crz => {
-                let base = match self {
-                    GateKind::Crx => GateKind::Rx,
-                    GateKind::Cry => GateKind::Ry,
-                    _ => GateKind::Rz,
-                }
-                .entries_1q(theta)
-                .expect("rotation kinds are one-qubit");
+                let base = self
+                    .controlled_base()
+                    .and_then(|k| k.entries_1q(theta))
+                    .expect("controlled rotations have a one-qubit base");
                 let mut m = [z; 16];
                 for i in 0..4 {
                     m[i * 4 + i] = o;
@@ -256,6 +265,17 @@ impl GateKind {
         static CACHE: OnceLock<[M2; 7]> = OnceLock::new();
         let idx = KINDS.iter().position(|&k| k == self)?;
         let cache = CACHE.get_or_init(|| KINDS.map(|k| k.entries_1q(0.0).expect("fixed 1q kind")));
+        Some(&cache[idx])
+    }
+
+    /// Prebound 4×4 entries of the non-parameterised two-qubit kinds
+    /// (`Cx`, `Cz`, `Swap`), computed **once per process** and cached.
+    /// `None` for parameterised or one-qubit kinds.
+    pub fn fixed_entries_2q(self) -> Option<&'static M4> {
+        const KINDS: [GateKind; 3] = [GateKind::Cx, GateKind::Cz, GateKind::Swap];
+        static CACHE: OnceLock<[M4; 3]> = OnceLock::new();
+        let idx = KINDS.iter().position(|&k| k == self)?;
+        let cache = CACHE.get_or_init(|| KINDS.map(|k| k.entries_2q(0.0).expect("fixed 2q kind")));
         Some(&cache[idx])
     }
 }

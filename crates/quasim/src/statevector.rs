@@ -4,11 +4,149 @@
 //! `|b⟩` is indexed by the integer `b` whose **bit `q` is the value of qubit
 //! `q`** (qubit 0 = least significant bit). Two-qubit gates use the local
 //! index `control*2 + target`, matching [`crate::gate::GateKind::matrix`].
+//!
+//! Two ways to apply a gate:
+//!
+//! - [`PreboundGate`] + [`StateVector::apply_prebound`], the production
+//!   path: a gate is bound once into stack-held entries and applied by an
+//!   allocation-free kernel chosen by its kind — general 2×2, diagonal
+//!   2×2, controlled 2×2 (touching only the control = 1 half) or general
+//!   4×4.
+//! - [`BoundGate`] + [`StateVector::apply`] on a [`CMatrix`]
+//!   ([`StateVector::apply_1q`] / [`StateVector::apply_2q`]), the
+//!   reference the prebound kernels are tested against.
+//!
+//! The prebound kernels evaluate every amplitude with the reference's
+//! expression order and skip only exact-zero products and identity rows.
+//! Adding an exact zero leaves a nonzero sum unchanged, so every amplitude
+//! equals the reference's under `==`; at most the sign of an exact-zero
+//! amplitude differs, which [`Complex64::norm_sqr`] erases, so
+//! probabilities and `⟨Z⟩` agree bit for bit.
 
-use crate::gate::BoundGate;
-#[cfg(test)]
-use crate::gate::GateKind;
-use crate::math::{CMatrix, Complex64};
+use crate::gate::{BoundGate, GateKind};
+use crate::math::{CMatrix, Complex64, M2, M4};
+
+/// A gate bound once into stack-held entries, with the kernel fixed by its
+/// kind (see the [module docs](self)).
+///
+/// # Examples
+///
+/// ```
+/// use quasim::gate::{BoundGate, GateKind};
+/// use quasim::statevector::{run_circuit, PreboundGate, StateVector};
+///
+/// let mut sv = StateVector::zero_state(2);
+/// sv.apply_prebound(&PreboundGate::new(GateKind::Ry, &[0], 0.7));
+/// sv.apply_prebound(&PreboundGate::new(GateKind::Cry, &[0, 1], 1.1));
+/// let reference = run_circuit(
+///     2,
+///     &[
+///         BoundGate::one(GateKind::Ry, 0, 0.7),
+///         BoundGate::two(GateKind::Cry, 0, 1, 1.1),
+///     ],
+/// );
+/// assert_eq!(sv.amplitudes(), reference.amplitudes());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PreboundGate {
+    /// A general 2×2 unitary on qubit `q`.
+    General1q {
+        /// Target qubit.
+        q: usize,
+        /// Row-major entries.
+        u: M2,
+    },
+    /// A diagonal 2×2 unitary `diag(d[0], d[1])` on qubit `q` (`Z`, `S`,
+    /// `T`, `Rz`, `Phase`).
+    Diagonal1q {
+        /// Target qubit.
+        q: usize,
+        /// Diagonal entries.
+        d: [Complex64; 2],
+    },
+    /// A controlled rotation (`Crx`, `Cry`, `Crz`): the 2×2 `u` acts on
+    /// `target` where `control` is `1`.
+    Controlled {
+        /// Control qubit.
+        control: usize,
+        /// Target qubit.
+        target: usize,
+        /// Row-major entries of the target rotation.
+        u: M2,
+    },
+    /// A general 4×4 unitary on `(a, b)`, `a` the most significant local
+    /// bit. Every such kind (`Cx`, `Cz`, `Swap`) is fixed, so the entries
+    /// are the process-wide cache of [`GateKind::fixed_entries_2q`].
+    General2q {
+        /// Most significant local qubit (the control of `Cx`/`Cz`).
+        a: usize,
+        /// Least significant local qubit.
+        b: usize,
+        /// Row-major entries.
+        u: &'static M4,
+    },
+}
+
+impl PreboundGate {
+    /// Binds `kind` on `qubits` (control first for controlled kinds) at
+    /// angle `theta` (ignored by fixed kinds), with the same entries as
+    /// [`GateKind::matrix`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operand count does not match the kind's arity or the
+    /// two operands of a two-qubit kind are equal.
+    pub fn new(kind: GateKind, qubits: &[usize], theta: f64) -> Self {
+        assert_eq!(qubits.len(), kind.arity(), "operand count mismatch");
+        if let [a, b] = *qubits {
+            assert_ne!(a, b, "two-qubit gate requires distinct qubits");
+            return match kind.controlled_base() {
+                Some(base) => PreboundGate::Controlled {
+                    control: a,
+                    target: b,
+                    u: base
+                        .entries_1q(theta)
+                        .expect("rotation bases are one-qubit"),
+                },
+                None => PreboundGate::General2q {
+                    a,
+                    b,
+                    u: kind
+                        .fixed_entries_2q()
+                        .expect("every non-controlled two-qubit kind is fixed"),
+                },
+            };
+        }
+        let q = qubits[0];
+        let u = kind.entries_1q(theta).expect("one-qubit kind");
+        match kind {
+            GateKind::Z | GateKind::S | GateKind::T | GateKind::Rz | GateKind::Phase => {
+                PreboundGate::Diagonal1q { q, d: [u[0], u[3]] }
+            }
+            _ => PreboundGate::General1q { q, u },
+        }
+    }
+
+    /// The largest qubit index the gate touches.
+    fn max_qubit(&self) -> usize {
+        match *self {
+            PreboundGate::General1q { q, .. } | PreboundGate::Diagonal1q { q, .. } => q,
+            PreboundGate::Controlled {
+                control: a,
+                target: b,
+                ..
+            }
+            | PreboundGate::General2q { a, b, .. } => a.max(b),
+        }
+    }
+}
+
+/// Index of the `k`-th basis state whose bits `lo < hi` are both clear.
+#[inline]
+fn insert_two_zero_bits(k: usize, lo: usize, hi: usize) -> usize {
+    let insert = |k: usize, bit: usize| ((k >> bit) << (bit + 1)) | (k & ((1 << bit) - 1));
+    insert(insert(k, lo), hi)
+}
 
 /// A pure quantum state over `n` qubits.
 ///
@@ -24,10 +162,26 @@ use crate::math::{CMatrix, Complex64};
 /// // Bell state: P(qubit 1 = 1) = 1/2.
 /// assert!((sv.prob_one(1) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct StateVector {
     n_qubits: usize,
     amps: Vec<Complex64>,
+}
+
+impl Clone for StateVector {
+    fn clone(&self) -> Self {
+        StateVector {
+            n_qubits: self.n_qubits,
+            amps: self.amps.clone(),
+        }
+    }
+
+    /// Copies `source` into the existing amplitude buffer (no allocation
+    /// when the sizes match).
+    fn clone_from(&mut self, source: &Self) {
+        self.n_qubits = source.n_qubits;
+        self.amps.clone_from(&source.amps);
+    }
 }
 
 impl StateVector {
@@ -86,6 +240,83 @@ impl StateVector {
         match gate.kind().arity() {
             1 => self.apply_1q(&gate.matrix(), gate.qubits()[0]),
             _ => self.apply_2q(&gate.matrix(), gate.qubits()[0], gate.qubits()[1]),
+        }
+    }
+
+    /// Resets the register to `|0…0⟩` in place.
+    pub fn reset_zero(&mut self) {
+        self.amps.fill(Complex64::ZERO);
+        self.amps[0] = Complex64::ONE;
+    }
+
+    /// Applies a prebound gate in place with its kind's allocation-free
+    /// kernel; amplitudes equal [`StateVector::apply`]'s under `==` (see
+    /// the [module docs](self)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if any qubit index is out of range.
+    pub fn apply_prebound(&mut self, gate: &PreboundGate) {
+        assert!(gate.max_qubit() < self.n_qubits, "qubit out of range");
+        let amps = self.amps.as_mut_slice();
+        match *gate {
+            PreboundGate::General1q {
+                q,
+                u: [u00, u01, u10, u11],
+            } => {
+                let half = 1usize << q;
+                for block in amps.chunks_exact_mut(2 * half) {
+                    let (lo, hi) = block.split_at_mut(half);
+                    for (a0, a1) in lo.iter_mut().zip(hi.iter_mut()) {
+                        let (x0, x1) = (*a0, *a1);
+                        *a0 = u00 * x0 + u01 * x1;
+                        *a1 = u10 * x0 + u11 * x1;
+                    }
+                }
+            }
+            PreboundGate::Diagonal1q { q, d: [d0, d1] } => {
+                let half = 1usize << q;
+                for block in amps.chunks_exact_mut(2 * half) {
+                    let (lo, hi) = block.split_at_mut(half);
+                    for a in lo {
+                        *a = d0 * *a;
+                    }
+                    for a in hi {
+                        *a = d1 * *a;
+                    }
+                }
+            }
+            PreboundGate::Controlled {
+                control,
+                target,
+                u: [u00, u01, u10, u11],
+            } => {
+                let (mc, mt) = (1usize << control, 1usize << target);
+                let (lo, hi) = (control.min(target), control.max(target));
+                for k in 0..amps.len() >> 2 {
+                    let i = insert_two_zero_bits(k, lo, hi) | mc;
+                    let j = i | mt;
+                    let (x0, x1) = (amps[i], amps[j]);
+                    amps[i] = u00 * x0 + u01 * x1;
+                    amps[j] = u10 * x0 + u11 * x1;
+                }
+            }
+            PreboundGate::General2q { a, b, u } => {
+                let (ma, mb) = (1usize << a, 1usize << b);
+                let (lo, hi) = (a.min(b), a.max(b));
+                for k in 0..amps.len() >> 2 {
+                    let i = insert_two_zero_bits(k, lo, hi);
+                    let idx = [i, i | mb, i | ma, i | ma | mb];
+                    let old = idx.map(|x| amps[x]);
+                    for (r, &out) in idx.iter().enumerate() {
+                        let mut acc = Complex64::ZERO;
+                        for (c, &x) in old.iter().enumerate() {
+                            acc += u[r * 4 + c] * x;
+                        }
+                        amps[out] = acc;
+                    }
+                }
+            }
         }
     }
 

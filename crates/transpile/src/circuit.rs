@@ -63,13 +63,22 @@ pub struct Op {
 }
 
 impl Op {
+    /// The op's angle against a parameter vector (0 for fixed gates).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter index is out of range.
+    pub fn angle(&self, theta: &[f64]) -> f64 {
+        self.param.map_or(0.0, |p| p.resolve(theta))
+    }
+
     /// Binds this op against a parameter vector.
     ///
     /// # Panics
     ///
     /// Panics if a parameter index is out of range.
     pub fn bind(&self, theta: &[f64]) -> BoundGate {
-        let angle = self.param.map_or(0.0, |p| p.resolve(theta));
+        let angle = self.angle(theta);
         match self.qubits.as_slice() {
             [q] => BoundGate::one(self.kind, *q, angle),
             [a, b] => BoundGate::two(self.kind, *a, *b, angle),
@@ -97,6 +106,9 @@ pub struct Circuit {
     n_qubits: usize,
     ops: Vec<Op>,
     n_params: usize,
+    /// `param_ops[i]`: indices of the ops referencing trainable parameter
+    /// `i`, ascending; maintained by [`Circuit::push`].
+    param_ops: Vec<Vec<usize>>,
 }
 
 impl Circuit {
@@ -111,6 +123,7 @@ impl Circuit {
             n_qubits,
             ops: Vec::new(),
             n_params: 0,
+            param_ops: Vec::new(),
         }
     }
 
@@ -163,6 +176,10 @@ impl Circuit {
         );
         if let Some(Param::Idx(i)) = op.param {
             self.n_params = self.n_params.max(i + 1);
+            if self.param_ops.len() <= i {
+                self.param_ops.resize_with(i + 1, Vec::new);
+            }
+            self.param_ops[i].push(self.ops.len());
         }
         self.ops.push(op);
     }
@@ -293,30 +310,25 @@ impl Circuit {
             self.n_params,
             theta.len()
         );
-        let ops = self
-            .ops
-            .iter()
-            .filter(|op| match op.param {
+        let mut out = Circuit::new(self.n_qubits);
+        for op in &self.ops {
+            let keep = match op.param {
                 Some(p) => !angle_is_identity(op.kind, p.resolve(theta), tol),
                 None => true,
-            })
-            .cloned()
-            .collect();
-        Circuit {
-            n_qubits: self.n_qubits,
-            ops,
-            n_params: self.n_params,
+            };
+            if keep {
+                out.push(op.clone());
+            }
         }
+        out.n_params = self.n_params;
+        out
     }
 
-    /// Indices of ops that reference trainable parameter `i`.
-    pub fn ops_for_param(&self, i: usize) -> Vec<usize> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| op.param.and_then(|p| p.idx()) == Some(i))
-            .map(|(k, _)| k)
-            .collect()
+    /// Indices of ops that reference trainable parameter `i`, ascending
+    /// (empty if none). Reads the index [`Circuit::push`] maintains, so a
+    /// lookup costs no scan.
+    pub fn ops_for_param(&self, i: usize) -> &[usize] {
+        self.param_ops.get(i).map_or(&[], Vec::as_slice)
     }
 }
 
