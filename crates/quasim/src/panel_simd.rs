@@ -1,7 +1,11 @@
 //! Explicit AVX2 kernels for the trajectory panel's unitary passes.
 //!
-//! Each kernel is the 4-lane transcription of its scalar counterpart in
-//! [`crate::trajectory`] — [`crate::trajectory::unitary1_inner`] and
+//! The panel runs every supergroup through one strip-group engine (a tile
+//! of `N = 2^k` strips for a `k`-wire group, `N` ∈ {2, 4, 8}), and these
+//! are its two vector kernels: [`unitary1_avx2`] applies a 2×2 unitary to
+//! the `N / 2` strip pairs of one wire, [`unitary2_avx2`] a 4×4 unitary to
+//! one quartet. Each is the 4-lane transcription of its scalar counterpart
+//! in [`crate::trajectory`] — [`crate::trajectory::unitary1_inner`] and
 //! [`crate::trajectory::unitary2_inner`] — under a strict bit-identity
 //! contract: only `_mm256_mul_pd` / `_mm256_add_pd` / `_mm256_sub_pd`
 //! (never FMA, never horizontal reductions), composed in the *exact
@@ -225,70 +229,18 @@ fn general_lanes(
     lanes
 }
 
-/// AVX2 transcription of [`unitary1_inner`]: applies one 2×2 unitary to a
-/// planar pair tile, bit-identical to the scalar kernel at every element.
+/// AVX2 transcription of [`unitary1_inner`] over a strip group: applies
+/// one 2×2 unitary to all `N / 2` strip pairs of the wire at strip mask
+/// `wm`, broadcasting the matrix entries once for the whole group instead
+/// of once per pair. Each pair runs the 4-lane body and hands its
+/// remainder to the scalar kernel, so every element is bit-identical to
+/// [`unitary1_inner`] on that pair.
 #[target_feature(enable = "avx2")]
-pub(crate) fn unitary1_avx2(
+pub(crate) fn unitary1_avx2<const N: usize>(
     m: &M2,
     class: MatClass,
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-) {
-    let len = r0.len();
-    let (i0, r1, i1) = (&mut i0[..len], &mut r1[..len], &mut i1[..len]);
-    let lanes = match class {
-        MatClass::Diagonal => {
-            let (d0, d1) = (m[0], m[3]);
-            diag_lanes(
-                _mm256_set1_pd(d0.re),
-                _mm256_set1_pd(d0.im),
-                _mm256_set1_pd(d1.re),
-                _mm256_set1_pd(d1.im),
-                r0,
-                i0,
-                r1,
-                i1,
-            )
-        }
-        MatClass::Real => real_lanes(
-            _mm256_set1_pd(m[0].re),
-            _mm256_set1_pd(m[1].re),
-            _mm256_set1_pd(m[2].re),
-            _mm256_set1_pd(m[3].re),
-            r0,
-            i0,
-            r1,
-            i1,
-        ),
-        MatClass::General => general_lanes(&broadcast_m2(m), r0, i0, r1, i1),
-    };
-    if lanes < len {
-        unitary1_inner(
-            m,
-            class,
-            &mut r0[lanes..],
-            &mut i0[lanes..],
-            &mut r1[lanes..],
-            &mut i1[lanes..],
-        );
-    }
-}
-
-/// Octet-level counterpart of [`unitary1_avx2`]: applies one 2×2 unitary
-/// to all four strip pairs of the wire at strip mask `wm`, broadcasting
-/// the matrix entries once for the whole octet instead of once per pair.
-/// Each pair runs the exact same lane bodies (and scalar tails) as the
-/// pair kernel, so the results are bit-identical to four pair calls —
-/// this only amortises the call and broadcast overhead, which dominates
-/// when low-wire supergroups make the strips short.
-#[target_feature(enable = "avx2")]
-pub(crate) fn unitary1_octet_avx2(
-    m: &M2,
-    class: MatClass,
-    r: &mut [&mut [f64]; 8],
-    i: &mut [&mut [f64]; 8],
+    r: &mut [&mut [f64]; N],
+    i: &mut [&mut [f64]; N],
     wm: usize,
 ) {
     match class {
@@ -298,16 +250,16 @@ pub(crate) fn unitary1_octet_avx2(
             let d0im = _mm256_set1_pd(d0.im);
             let d1re = _mm256_set1_pd(d1.re);
             let d1im = _mm256_set1_pd(d1.im);
-            for x in 0..8usize {
+            for x in 0..N {
                 if x & wm != 0 {
                     continue;
                 }
                 let [r0, r1] = r
                     .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+                    .expect("distinct group strips");
                 let [i0, i1] = i
                     .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+                    .expect("distinct group strips");
                 let lanes = diag_lanes(d0re, d0im, d1re, d1im, r0, i0, r1, i1);
                 if lanes < r0.len() {
                     unitary1_inner(
@@ -326,16 +278,16 @@ pub(crate) fn unitary1_octet_avx2(
             let m01 = _mm256_set1_pd(m[1].re);
             let m10 = _mm256_set1_pd(m[2].re);
             let m11 = _mm256_set1_pd(m[3].re);
-            for x in 0..8usize {
+            for x in 0..N {
                 if x & wm != 0 {
                     continue;
                 }
                 let [r0, r1] = r
                     .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+                    .expect("distinct group strips");
                 let [i0, i1] = i
                     .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+                    .expect("distinct group strips");
                 let lanes = real_lanes(m00, m01, m10, m11, r0, i0, r1, i1);
                 if lanes < r0.len() {
                     unitary1_inner(
@@ -351,16 +303,16 @@ pub(crate) fn unitary1_octet_avx2(
         }
         MatClass::General => {
             let e = broadcast_m2(m);
-            for x in 0..8usize {
+            for x in 0..N {
                 if x & wm != 0 {
                     continue;
                 }
                 let [r0, r1] = r
                     .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+                    .expect("distinct group strips");
                 let [i0, i1] = i
                     .get_disjoint_mut([x, x | wm])
-                    .expect("distinct octet strips");
+                    .expect("distinct group strips");
                 let lanes = general_lanes(&e, r0, i0, r1, i1);
                 if lanes < r0.len() {
                     unitary1_inner(
@@ -460,6 +412,37 @@ mod tests {
             .collect()
     }
 
+    /// Runs the `N`-strip AVX2 kernel and the scalar pair kernel over the
+    /// same `N` strips (per plane) of `len` elements, for every wire of the
+    /// group, and asserts bitwise-equal results.
+    fn check_unitary1_strips<const N: usize>(m: &M2, class: MatClass, len: usize) {
+        for wb in 0..N.trailing_zeros() {
+            let wm = 1usize << wb;
+            let base: Vec<Vec<f64>> = (0..2 * N as u64).map(|k| fill(41 + k, len)).collect();
+            let mut scalar = base.clone();
+            let mut simd = base;
+            {
+                let (r, i) = scalar.split_at_mut(N);
+                for x in (0..N).filter(|x| x & wm == 0) {
+                    let [r0, r1] = r.get_disjoint_mut([x, x | wm]).unwrap();
+                    let [i0, i1] = i.get_disjoint_mut([x, x | wm]).unwrap();
+                    unitary1_inner(m, class, r0, i0, r1, i1);
+                }
+            }
+            {
+                let (r, i) = simd.split_at_mut(N);
+                let all: [usize; N] = std::array::from_fn(|x| x);
+                let mut r = r.get_disjoint_mut(all).unwrap().map(Vec::as_mut_slice);
+                let mut i = i.get_disjoint_mut(all).unwrap().map(Vec::as_mut_slice);
+                // SAFETY: callers check `avx2_supported` first.
+                unsafe { unitary1_avx2(m, class, &mut r, &mut i, wm) };
+            }
+            for (a, b) in scalar.iter().flatten().zip(simd.iter().flatten()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "N {N} wire bit {wb} len {len}");
+            }
+        }
+    }
+
     #[test]
     fn avx2_unitary1_matches_scalar_bits_at_ragged_lengths() {
         if !KernelMode::avx2_supported() {
@@ -467,27 +450,17 @@ mod tests {
         }
         let h = GateKind::H.entries_1q(0.0).unwrap();
         let rz = GateKind::Rz.entries_1q(0.7).unwrap();
-        for (m, class) in [(&h, MatClass::Real), (&rz, MatClass::Diagonal)] {
+        let rx = GateKind::Rx.entries_1q(-1.3).unwrap();
+        for (m, class) in [
+            (&h, MatClass::Real),
+            (&rz, MatClass::Diagonal),
+            (&rx, MatClass::General),
+        ] {
+            assert_eq!(crate::fused::classify2(m), class);
             for len in [1usize, 3, 4, 7, 8, 13, 64, 65] {
-                let base: Vec<Vec<f64>> = (0..4).map(|k| fill(41 + k, len)).collect();
-                let mut scalar: Vec<Vec<f64>> = base.clone();
-                let mut simd: Vec<Vec<f64>> = base;
-                {
-                    let [r0, i0, r1, i1] = &mut scalar[..] else {
-                        unreachable!()
-                    };
-                    unitary1_inner(m, class, r0, i0, r1, i1);
-                }
-                {
-                    let [r0, i0, r1, i1] = &mut simd[..] else {
-                        unreachable!()
-                    };
-                    // SAFETY: guarded by `avx2_supported` above.
-                    unsafe { unitary1_avx2(m, class, r0, i0, r1, i1) };
-                }
-                for (a, b) in scalar.iter().flatten().zip(simd.iter().flatten()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "len {len}");
-                }
+                check_unitary1_strips::<2>(m, class, len);
+                check_unitary1_strips::<4>(m, class, len);
+                check_unitary1_strips::<8>(m, class, len);
             }
         }
     }

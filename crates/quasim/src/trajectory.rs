@@ -543,14 +543,16 @@ fn panel_width_from_value(value: Option<&str>, n_qubits: usize, n_trajectories: 
     width.min((n_trajectories.max(1)) as usize)
 }
 
-/// Which implementation the panel's pair/quartet/octet unitary kernels
-/// dispatch to. Both arms compute the identical IEEE-754 result for every
-/// element: the AVX2 kernels (see `panel_simd`) use only 4-lane multiply,
-/// add, and subtract — never FMA — in the exact association order of the
-/// scalar expressions, so lane `j` of the vector loop performs the very
+/// Which implementation the panel's unitary kernels dispatch to. Both
+/// arms compute the identical IEEE-754 result for every element: the AVX2
+/// kernels (see `panel_simd`) use only 4-lane multiply, add, and subtract
+/// — never FMA — in the exact association order of the scalar
+/// expressions, so lane `j` of the vector loop performs the very
 /// operations the scalar loop performs at index `j`. The scalar kernels
 /// are therefore the bit-identity *oracle* for the SIMD ones (asserted by
 /// the `panel_props` proptests), not a fallback with looser semantics.
+/// The choice covers the strip-group engine's 2×2 and 4×4 unitary passes
+/// at every group size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelMode {
     /// Portable scalar kernels (the bit-identity oracle; always
@@ -563,23 +565,35 @@ pub enum KernelMode {
 
 impl KernelMode {
     /// Runtime-detected default: [`KernelMode::Avx2`] when the host CPU
-    /// supports it, unless `QUCAD_FORCE_SCALAR` is set to anything but
-    /// `0` or whitespace (the escape hatch CI uses to pin the scalar
-    /// oracle leg). Detected once per process.
+    /// supports it, unless `QUCAD_FORCE_SCALAR=1` (the escape hatch CI
+    /// uses to pin the scalar oracle leg). Detected once per process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `QUCAD_FORCE_SCALAR` is set to anything but `0` or `1`
+    /// (surrounding whitespace allowed) — a typo must not silently pick a
+    /// kernel.
     pub fn detect() -> KernelMode {
         static MODE: std::sync::OnceLock<KernelMode> = std::sync::OnceLock::new();
         *MODE.get_or_init(|| {
             // audited entry point: forces the scalar bit-identity oracle
             // qucad-lint: allow(env-read) — kernels (QUCAD_FORCE_SCALAR)
-            let forced = std::env::var("QUCAD_FORCE_SCALAR").is_ok_and(|v| {
-                let v = v.trim();
-                !v.is_empty() && v != "0"
-            });
-            if !forced && KernelMode::avx2_supported() {
-                return KernelMode::Avx2;
-            }
-            KernelMode::Scalar
+            let raw = std::env::var("QUCAD_FORCE_SCALAR").ok();
+            KernelMode::from_value(raw.as_deref(), KernelMode::avx2_supported())
         })
+    }
+
+    /// Pure resolution core of [`KernelMode::detect`] (`value` is the raw
+    /// `QUCAD_FORCE_SCALAR` when set, `avx2` whether the host supports
+    /// AVX2): side-effect-free so the parse contract is testable without
+    /// racing on process-global environment state.
+    fn from_value(value: Option<&str>, avx2: bool) -> KernelMode {
+        let forced = value.is_some_and(|v| crate::config::parse_flag("QUCAD_FORCE_SCALAR", v));
+        if avx2 && !forced {
+            KernelMode::Avx2
+        } else {
+            KernelMode::Scalar
+        }
     }
 
     /// Whether this host can run the AVX2 kernels. The result is what
@@ -600,16 +614,16 @@ impl KernelMode {
 
 /// Union-support cap of a panel supergroup: consecutive fused segments are
 /// grouped for single-pass execution only while their combined support
-/// stays within this many qubits (the tiled kernels walk pair, quartet, or
-/// octet strips, nothing wider).
+/// stays within this many qubits (the strip-group engine runs a `k`-wire
+/// group as tiles of `2^k` strips, so at most eight).
 pub const SUPERGROUP_CAP: usize = 3;
 
 /// One panel supergroup: a maximal run of consecutive fused segments whose
 /// union support fits within [`SUPERGROUP_CAP`] qubits. `u` is the first
 /// support qubit seen (the group's wire `A`), `v` the second if any, `w`
 /// the third — a whole entangling layer plus its noise interleave and the
-/// neighbouring single-qubit decomposition segments becomes one octet
-/// pass.
+/// neighbouring single-qubit decomposition segments becomes one
+/// eight-strip pass.
 ///
 /// The plan is a pure function of the program's segment list; it is what
 /// [`TrajectoryPanel::run_stochastic`] executes one tiled panel pass per
@@ -708,10 +722,9 @@ pub fn supergroup_plan(program: &FusedProgram) -> Vec<Supergroup> {
     supergroups(program).collect()
 }
 
-/// Complex amplitudes per tile row of the segment-fused panel sweeps:
-/// small enough that a one-qubit tile (2 amplitude rows × 2 planes) or a
-/// two-qubit tile (4 rows × 2 planes) stays L1-resident while a whole
-/// segment's atom chain runs over it.
+/// Complex amplitudes per strip of one panel tile: small enough that a
+/// whole strip group (up to eight strips × 2 planes) stays cache-resident
+/// while a supergroup's atom chain runs over it.
 const TILE_ELEMS: usize = 512;
 
 /// One Pauli application to a planar amplitude pair `((re, im), (re, im))`,
@@ -727,16 +740,6 @@ fn pauli_vals(p: usize, x0: (f64, f64), x1: (f64, f64)) -> ((f64, f64), (f64, f6
         3 => (x0, (-x1.0, -x1.1)),
         _ => (x0, x1),
     }
-}
-
-/// One precompiled pass of a one-qubit segment chain over a pair tile.
-enum Pass1q<'a> {
-    /// Panel-wide 2×2 unitary.
-    Unitary(&'a M2, MatClass),
-    /// Per-column Pauli jumps (the pre-sampled branch row).
-    Jump(&'a [u8]),
-    /// Stochastic atom whose branch row is all-identity (exact no-op).
-    Skip,
 }
 
 /// Applies one 2×2 unitary to a planar pair tile (`r0/i0` = lower pair
@@ -830,137 +833,9 @@ fn jump1_inner(
     }
 }
 
-/// Applies a one-qubit atom chain to one planar pair tile.
-#[inline(always)]
-fn chain_1q_tile(
-    kernel: KernelMode,
-    passes: &[Pass1q],
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-    b: usize,
-) {
-    for pass in passes {
-        match *pass {
-            Pass1q::Unitary(m, class) => apply_unitary1(kernel, m, class, r0, i0, r1, i1),
-            Pass1q::Jump(row) => jump1_inner(row, b, r0, i0, r1, i1),
-            Pass1q::Skip => {}
-        }
-    }
-}
-
-/// Executes a one-qubit pass chain over the whole panel in a **single
-/// tiled pass**: each cache-sized pair tile is loaded once, the full
-/// chain runs over it, and it is stored back — one panel memory pass per
-/// chain (a whole supergroup of fused segments) instead of one per atom,
-/// with contiguous inner loops (pair rows for qubit `q` are `2^q · b`
-/// element runs, no per-pair bit-twiddling).
-fn run_pair_pass(
-    kernel: KernelMode,
-    re: &mut [f64],
-    im: &mut [f64],
-    b: usize,
-    q: usize,
-    passes: &[Pass1q],
-) {
-    let pair = (1usize << q) * b;
-    let total = re.len();
-    debug_assert_eq!(total, im.len(), "re/im planes differ in length");
-    debug_assert!(
-        b > 0 && total.is_multiple_of(2 * pair),
-        "pair stride for qubit {q} does not tile the {total}-element panel \
-         (qubit out of range or corrupt panel shape)"
-    );
-    let tile = b * (TILE_ELEMS / b).max(1);
-    if pair >= tile {
-        // Wide pair runs: tile within each pair region, whole chain per
-        // tile.
-        let mut base = 0usize;
-        while base < total {
-            let mut ts = base;
-            while ts < base + pair {
-                let len = tile.min(base + pair - ts);
-                let (rl, rh) = re.split_at_mut(ts + pair);
-                let (il, ih) = im.split_at_mut(ts + pair);
-                chain_1q_tile(
-                    kernel,
-                    passes,
-                    &mut rl[ts..ts + len],
-                    &mut il[ts..ts + len],
-                    &mut rh[..len],
-                    &mut ih[..len],
-                    b,
-                );
-                ts += len;
-            }
-            base += 2 * pair;
-        }
-    } else {
-        // Narrow pair runs (low qubits): fuse at window granularity —
-        // each cache-sized window of whole 2·pair blocks hosts the chain,
-        // one pass dispatch per window.
-        let window = (2 * pair) * ((2 * TILE_ELEMS) / (2 * pair)).max(1);
-        let mut start = 0usize;
-        while start < total {
-            let wlen = window.min(total - start);
-            let rw = &mut re[start..start + wlen];
-            let iw = &mut im[start..start + wlen];
-            for pass in passes {
-                match *pass {
-                    Pass1q::Unitary(m, class) => {
-                        for (rb, ib) in rw
-                            .chunks_exact_mut(2 * pair)
-                            .zip(iw.chunks_exact_mut(2 * pair))
-                        {
-                            let (r0, r1) = rb.split_at_mut(pair);
-                            let (i0, i1) = ib.split_at_mut(pair);
-                            apply_unitary1(kernel, m, class, r0, i0, r1, i1);
-                        }
-                    }
-                    Pass1q::Jump(row) => {
-                        for (rb, ib) in rw
-                            .chunks_exact_mut(2 * pair)
-                            .zip(iw.chunks_exact_mut(2 * pair))
-                        {
-                            let (r0, r1) = rb.split_at_mut(pair);
-                            let (i0, i1) = ib.split_at_mut(pair);
-                            jump1_inner(row, b, r0, i0, r1, i1);
-                        }
-                    }
-                    Pass1q::Skip => {}
-                }
-            }
-            start += wlen;
-        }
-    }
-}
-
-/// One precompiled pass of a two-qubit segment chain over a quartet tile
-/// (quartet order `[00, 01, 10, 11]` in the segment's `(A, B)` wire basis
-/// with wire `A` the most significant bit).
-enum Pass2q<'a> {
-    /// CNOT with control on wire A: swap the `10` and `11` strips.
-    SwapA,
-    /// CNOT with control on wire B: swap the `01` and `11` strips.
-    SwapB,
-    /// 4×4 unitary; `swapped` atoms read/write the quartet through the
-    /// `[0, 2, 1, 3]` orientation permutation (as in `quasim::fused`).
-    Unitary(&'a M4, bool),
-    /// Per-column Pauli⊗Pauli jumps: branch row plus whether the atom's
-    /// `(first, second)` qubit order is `(B, A)`.
-    Jump(&'a [u8], bool),
-    /// 2×2 unitary on one wire of the quartet (`on_b` selects wire B) —
-    /// how supergroups execute single-qubit segments whose qubit is part
-    /// of the group's two-qubit support without an extra panel pass.
-    Unitary1(&'a M2, MatClass, bool),
-    /// Per-column one-qubit Pauli jumps on one wire of the quartet.
-    Jump1(&'a [u8], bool),
-    /// Stochastic atom with an all-identity branch row.
-    Skip,
-}
-
-/// Planar quartet tile: the four strips of both planes, in quartet order.
+/// Planar quartet tile: four strips of both planes, in quartet order
+/// `[00, 01, 10, 11]` of a two-qubit atom's `(A, B)` wires (wire `A` the
+/// most significant bit).
 pub(crate) struct Quartet<'a> {
     pub(crate) r: [&'a mut [f64]; 4],
     pub(crate) i: [&'a mut [f64]; 4],
@@ -991,34 +866,6 @@ pub(crate) fn unitary2_inner(m: &M4, swapped: bool, g: &mut Quartet<'_>) {
             }
             g.r[map[r]][j] = ar;
             g.i[map[r]][j] = ai;
-        }
-    }
-}
-
-/// Dispatches one 2×2 unitary pair application to the selected kernel
-/// (both arms are bit-identical; see [`KernelMode`]).
-#[inline(always)]
-fn apply_unitary1(
-    kernel: KernelMode,
-    m: &M2,
-    class: MatClass,
-    r0: &mut [f64],
-    i0: &mut [f64],
-    r1: &mut [f64],
-    i1: &mut [f64],
-) {
-    match kernel {
-        KernelMode::Scalar => unitary1_inner(m, class, r0, i0, r1, i1),
-        KernelMode::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Avx2` is only constructed after `avx2_supported()`
-            // returned true (`detect` / `set_kernel_mode`), so the avx2
-            // target feature is available on this CPU.
-            unsafe {
-                crate::panel_simd::unitary1_avx2(m, class, r0, i0, r1, i1);
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
         }
     }
 }
@@ -1121,214 +968,22 @@ fn materialize_strips<const N: usize>(
     }
 }
 
-/// Applies a two-qubit atom chain to one quartet tile. CNOTs permute the
-/// strip *references* (amplitudes keep their values, only their labels
-/// move — `O(1)` per tile); the net permutation is materialised into the
-/// physical layout once at the end of the chain by
-/// [`materialize_strips`], so the final panel contents are bit-identical
-/// to eagerly swapped strips.
-#[inline(always)]
-fn chain_2q_tile(kernel: KernelMode, passes: &[Pass2q], g: &mut Quartet<'_>, b: usize) {
-    // `g.r[q]`/`g.i[q]` always hold quartet index `q`'s amplitudes;
-    // `slot[q]` tracks the physical strip they currently occupy.
-    let mut slot = [0usize, 1, 2, 3];
-    for pass in passes {
-        match *pass {
-            Pass2q::SwapA => {
-                g.r.swap(2, 3);
-                g.i.swap(2, 3);
-                slot.swap(2, 3);
-            }
-            Pass2q::SwapB => {
-                g.r.swap(1, 3);
-                g.i.swap(1, 3);
-                slot.swap(1, 3);
-            }
-            Pass2q::Unitary(m, swapped) => apply_unitary2(kernel, m, swapped, g),
-            Pass2q::Jump(row, swapped) => jump2_inner(row, b, swapped, g),
-            Pass2q::Unitary1(m, class, on_b) => {
-                // A 1q op on one wire couples the two wire-axis pairs;
-                // apply the exact pair kernel to each in turn.
-                for (x, y) in wire_axis(on_b) {
-                    let (r0, i0, r1, i1) = quartet_pair(g, x, y);
-                    apply_unitary1(kernel, m, class, r0, i0, r1, i1);
-                }
-            }
-            Pass2q::Jump1(row, on_b) => {
-                for (x, y) in wire_axis(on_b) {
-                    let (r0, i0, r1, i1) = quartet_pair(g, x, y);
-                    jump1_inner(row, b, r0, i0, r1, i1);
-                }
-            }
-            Pass2q::Skip => {}
-        }
-    }
-    materialize_strips(&mut g.r, &mut g.i, &mut slot);
-}
-
-/// Wire-axis pair index sets in quartet order: a one-qubit op on wire A
-/// couples (00,10) and (01,11); on wire B it couples (00,01) and (10,11).
-#[inline(always)]
-fn wire_axis(on_b: bool) -> [(usize, usize); 2] {
-    if on_b {
-        [(0, 1), (2, 3)]
-    } else {
-        [(0, 2), (1, 3)]
-    }
-}
-
-/// Borrows one wire-axis pair (`x < y`) of a quartet as the four planar
-/// slices the pair kernels take.
-#[inline(always)]
-fn quartet_pair<'q>(
-    g: &'q mut Quartet<'_>,
-    x: usize,
-    y: usize,
-) -> (&'q mut [f64], &'q mut [f64], &'q mut [f64], &'q mut [f64]) {
-    let (rl, rh) = g.r.split_at_mut(y);
-    let (il, ih) = g.i.split_at_mut(y);
-    (&mut *rl[x], &mut *il[x], &mut *rh[0], &mut *ih[0])
-}
-
-/// Splits four disjoint equal-length strips out of one plane, given
-/// strictly increasing element starts.
-fn strips4(plane: &mut [f64], starts: [usize; 4], len: usize) -> [&mut [f64]; 4] {
-    debug_assert!(
-        len > 0
-            && starts[0] + len <= starts[1]
-            && starts[1] + len <= starts[2]
-            && starts[2] + len <= starts[3]
-            && starts[3] + len <= plane.len(),
-        "quartet strips at {starts:?} (len {len}) overlap or escape the \
-         {}-element plane",
-        plane.len()
-    );
-    let (p01, p23) = plane.split_at_mut(starts[2]);
-    let (p0, p1) = p01.split_at_mut(starts[1]);
-    let (p2, p3) = p23.split_at_mut(starts[3] - starts[2]);
-    [
-        &mut p0[starts[0]..starts[0] + len],
-        &mut p1[..len],
-        &mut p2[..len],
-        &mut p3[..len],
-    ]
-}
-
-/// Reorders four sorted-offset strips (per plane) into quartet order.
-#[inline(always)]
-fn to_quartet<'a>(
-    sorted_re: [&'a mut [f64]; 4],
-    sorted_im: [&'a mut [f64]; 4],
-    v_is_small: bool,
-) -> Quartet<'a> {
-    let [r0, ra, rb, r3] = sorted_re;
-    let [i0, ia, ib, i3] = sorted_im;
-    if v_is_small {
-        // Strip at the small offset is the v-set (quartet index 1) strip.
-        Quartet {
-            r: [r0, ra, rb, r3],
-            i: [i0, ia, ib, i3],
-        }
-    } else {
-        Quartet {
-            r: [r0, rb, ra, r3],
-            i: [i0, ib, ia, i3],
-        }
-    }
-}
-
-/// Executes a two-qubit pass chain over the whole panel in a single tiled
-/// pass — the two-qubit counterpart of [`run_pair_pass`]: each quartet
-/// tile (four strips in the supergroup's `(A, B)` wire basis) hosts the
-/// whole chain in cache.
-fn run_quartet_pass(
-    kernel: KernelMode,
-    re: &mut [f64],
-    im: &mut [f64],
-    b: usize,
-    u: usize,
-    v: usize,
-    passes: &[Pass2q],
-) {
-    let mu = (1usize << u) * b;
-    let mv = (1usize << v) * b;
-    let (ms, mb) = if mu < mv { (mu, mv) } else { (mv, mu) };
-    let v_is_small = mv < mu;
-    let total = re.len();
-    debug_assert_eq!(total, im.len(), "re/im planes differ in length");
-    debug_assert_ne!(
-        mu, mv,
-        "supergroup wires ({u}, {v}) alias the same panel stride"
-    );
-    debug_assert!(
-        b > 0 && total.is_multiple_of(2 * mb) && mb.is_multiple_of(2 * ms),
-        "wire strides for ({u}, {v}) do not tile the {total}-element panel \
-         (wire out of range or corrupt panel shape)"
-    );
-    let tile = b * (TILE_ELEMS / b).max(1);
-    if ms >= tile {
-        let mut bh = 0usize;
-        while bh < total {
-            let mut bl = bh;
-            while bl < bh + mb {
-                let mut ts = bl;
-                while ts < bl + ms {
-                    let len = tile.min(bl + ms - ts);
-                    let starts = [ts, ts + ms, ts + mb, ts + mb + ms];
-                    let sr = strips4(re, starts, len);
-                    let si = strips4(im, starts, len);
-                    let mut g = to_quartet(sr, si, v_is_small);
-                    chain_2q_tile(kernel, passes, &mut g, b);
-                    ts += len;
-                }
-                bl += 2 * ms;
-            }
-            bh += 2 * mb;
-        }
-    } else {
-        // Narrow small-axis runs: walk each big block's low/high halves in
-        // lockstep; every 2·ms sub-block pair forms one quartet tile.
-        let mut bh = 0usize;
-        while bh < total {
-            let (rl_all, rh_all) = re.split_at_mut(bh + mb);
-            let (il_all, ih_all) = im.split_at_mut(bh + mb);
-            let rl = &mut rl_all[bh..];
-            let il = &mut il_all[bh..];
-            let rh = &mut rh_all[..mb];
-            let ih = &mut ih_all[..mb];
-            for (((rlb, rhb), ilb), ihb) in rl
-                .chunks_exact_mut(2 * ms)
-                .zip(rh.chunks_exact_mut(2 * ms))
-                .zip(il.chunks_exact_mut(2 * ms))
-                .zip(ih.chunks_exact_mut(2 * ms))
-            {
-                let (sr0, sr1) = rlb.split_at_mut(ms);
-                let (sr2, sr3) = rhb.split_at_mut(ms);
-                let (si0, si1) = ilb.split_at_mut(ms);
-                let (si2, si3) = ihb.split_at_mut(ms);
-                let mut g = to_quartet([sr0, sr1, sr2, sr3], [si0, si1, si2, si3], v_is_small);
-                chain_2q_tile(kernel, passes, &mut g, b);
-            }
-            bh += 2 * mb;
-        }
-    }
-}
-
-/// One precompiled pass of a three-qubit supergroup chain over an octet
-/// tile. Strip indices are three-bit numbers in the group's `(A, B, C)`
-/// wire basis — wire `A` (`u`) is strip bit 2, wire `B` (`v`) bit 1, wire
-/// `C` (`w`) bit 0. Two-qubit atoms carry the strip bits of their own
-/// segment's `(A, B)` wires, so the quartet each one sees is assembled in
-/// the segment's wire order and the atom's `swapped` flag applies
-/// unchanged (exactly as in the per-trajectory engine).
-enum Pass3q<'a> {
+/// One precompiled pass of a supergroup chain over a strip group. Strip
+/// indices are `k`-bit numbers in the group's wire basis for a `k`-wire
+/// group: the wire at position `p` of `(u, v, w)` is strip bit `k − 1 −
+/// p`, so `u` is always the most significant bit. Two-qubit atoms carry
+/// the strip bits of their own segment's `(A, B)` wires, so the quartet
+/// each one sees is assembled in the segment's wire order and the atom's
+/// `swapped` flag applies unchanged (exactly as in the per-trajectory
+/// engine).
+enum Pass<'a> {
     /// 2×2 unitary on the wire at the given strip bit.
     Unitary1(&'a M2, MatClass, usize),
     /// Per-column one-qubit Pauli jumps on the wire at the given strip
     /// bit.
     Jump1(&'a [u8], usize),
     /// CNOT: swap the target-bit strip pair inside every control-set
-    /// octant (`(control bit, target bit)`).
+    /// strip half (`(control bit, target bit)`).
     Swap(usize, usize),
     /// 4×4 unitary on the wires at strip bits `(a, b)` of the atom's
     /// segment; the `bool` is the atom's own orientation flag.
@@ -1339,71 +994,76 @@ enum Pass3q<'a> {
     Skip,
 }
 
-/// Planar octet tile: the eight strips of both planes, indexed by the
-/// three-bit strip number in the group's `(A, B, C)` wire basis.
-struct Octet<'a> {
-    r: [&'a mut [f64]; 8],
-    i: [&'a mut [f64]; 8],
+/// Planar strip group: the `N = 2^k` strips of both planes of a `k`-wire
+/// supergroup's tile, indexed by strip number.
+struct Strips<'a, const N: usize> {
+    r: [&'a mut [f64]; N],
+    i: [&'a mut [f64]; N],
 }
 
-/// Splits eight disjoint equal-length strips out of one plane (starts in
+/// Splits `N` disjoint equal-length strips out of one plane (starts in
 /// strip-index order, not necessarily increasing).
 ///
 /// # Panics
 ///
 /// Panics if the strips overlap or escape the plane.
-fn strips8(plane: &mut [f64], starts: [usize; 8], len: usize) -> [&mut [f64]; 8] {
+fn strips<const N: usize>(plane: &mut [f64], starts: [usize; N], len: usize) -> [&mut [f64]; N] {
     plane
         .get_disjoint_mut(starts.map(|s| s..s + len))
-        .expect("octet strips overlap or escape the plane")
+        .expect("group strips overlap or escape the plane")
 }
 
-/// Borrows one strip pair (`x != y`) of an octet as the four planar slices
-/// the pair kernels take.
+/// Borrows one strip pair (`x != y`) of a strip group as the four planar
+/// slices the pair kernels take.
 #[inline(always)]
-fn octet_pair<'q>(
-    o: &'q mut Octet<'_>,
+fn strip_pair<'q, const N: usize>(
+    o: &'q mut Strips<'_, N>,
     x: usize,
     y: usize,
 ) -> (&'q mut [f64], &'q mut [f64], &'q mut [f64], &'q mut [f64]) {
-    let [r0, r1] = o.r.get_disjoint_mut([x, y]).expect("distinct octet strips");
-    let [i0, i1] = o.i.get_disjoint_mut([x, y]).expect("distinct octet strips");
+    let [r0, r1] = o.r.get_disjoint_mut([x, y]).expect("distinct group strips");
+    let [i0, i1] = o.i.get_disjoint_mut([x, y]).expect("distinct group strips");
     (&mut **r0, &mut **i0, &mut **r1, &mut **i1)
 }
 
-/// Borrows four distinct octet strips as a quartet tile, in the given
-/// quartet order.
+/// Borrows four distinct strips of a strip group as a quartet tile, in
+/// the given quartet order.
 #[inline(always)]
-fn octet_quartet<'q>(o: &'q mut Octet<'_>, idx: [usize; 4]) -> Quartet<'q> {
-    let [r0, r1, r2, r3] = o.r.get_disjoint_mut(idx).expect("distinct octet strips");
-    let [i0, i1, i2, i3] = o.i.get_disjoint_mut(idx).expect("distinct octet strips");
+fn strip_quartet<'q, const N: usize>(o: &'q mut Strips<'_, N>, idx: [usize; 4]) -> Quartet<'q> {
+    let [r0, r1, r2, r3] = o.r.get_disjoint_mut(idx).expect("distinct group strips");
+    let [i0, i1, i2, i3] = o.i.get_disjoint_mut(idx).expect("distinct group strips");
     Quartet {
         r: [&mut **r0, &mut **r1, &mut **r2, &mut **r3],
         i: [&mut **i0, &mut **i1, &mut **i2, &mut **i3],
     }
 }
 
-/// Applies a three-qubit supergroup chain to one octet tile: one-qubit
-/// atoms run the exact pair kernels over the four strip pairs of their
-/// wire, two-qubit atoms run the exact quartet kernels over the two
+/// Applies a supergroup chain to one `N`-strip tile: one-qubit atoms run
+/// the exact pair kernels over the `N / 2` strip pairs of their wire,
+/// two-qubit atoms run the exact quartet kernels over the `N / 4`
 /// quartets spanned by their wires, CNOTs permute the strip references
 /// (materialised once at chain end, see [`materialize_strips`]).
 #[inline(always)]
-fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: usize) {
-    // `o.r[x]`/`o.i[x]` always hold octet index `x`'s amplitudes;
+fn chain_tile<const N: usize>(
+    kernel: KernelMode,
+    passes: &[Pass],
+    o: &mut Strips<'_, N>,
+    b: usize,
+) {
+    // `o.r[x]`/`o.i[x]` always hold strip index `x`'s amplitudes;
     // `slot[x]` tracks the physical strip they currently occupy.
-    let mut slot = [0usize, 1, 2, 3, 4, 5, 6, 7];
+    let mut slot: [usize; N] = std::array::from_fn(|x| x);
     for pass in passes {
         match *pass {
-            Pass3q::Unitary1(m, class, wb) => {
+            Pass::Unitary1(m, class, wb) => {
                 let wm = 1usize << wb;
                 match kernel {
                     KernelMode::Scalar => {
-                        for x in 0..8usize {
+                        for x in 0..N {
                             if x & wm != 0 {
                                 continue;
                             }
-                            let (r0, i0, r1, i1) = octet_pair(o, x, x | wm);
+                            let (r0, i0, r1, i1) = strip_pair(o, x, x | wm);
                             unitary1_inner(m, class, r0, i0, r1, i1);
                         }
                     }
@@ -1413,29 +1073,27 @@ fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: us
                         // `avx2_supported()` returned true, so the avx2
                         // target feature is available on this CPU.
                         unsafe {
-                            crate::panel_simd::unitary1_octet_avx2(
-                                m, class, &mut o.r, &mut o.i, wm,
-                            );
+                            crate::panel_simd::unitary1_avx2(m, class, &mut o.r, &mut o.i, wm);
                         }
                         #[cfg(not(target_arch = "x86_64"))]
                         unreachable!("KernelMode::Avx2 cannot be constructed off x86_64");
                     }
                 }
             }
-            Pass3q::Jump1(row, wb) => {
+            Pass::Jump1(row, wb) => {
                 let wm = 1usize << wb;
-                for x in 0..8usize {
+                for x in 0..N {
                     if x & wm != 0 {
                         continue;
                     }
-                    let (r0, i0, r1, i1) = octet_pair(o, x, x | wm);
+                    let (r0, i0, r1, i1) = strip_pair(o, x, x | wm);
                     jump1_inner(row, b, r0, i0, r1, i1);
                 }
             }
-            Pass3q::Swap(cb, tb) => {
+            Pass::Swap(cb, tb) => {
                 let cm = 1usize << cb;
                 let tm = 1usize << tb;
-                for x in 0..8usize {
+                for x in 0..N {
                     if x & cm == 0 || x & tm != 0 {
                         continue;
                     }
@@ -1444,225 +1102,100 @@ fn chain_3q_tile(kernel: KernelMode, passes: &[Pass3q], o: &mut Octet<'_>, b: us
                     slot.swap(x, x | tm);
                 }
             }
-            Pass3q::Unitary2(m, swapped, ab, bb) => {
+            Pass::Unitary2(m, swapped, ab, bb) => {
                 let am = 1usize << ab;
                 let bm = 1usize << bb;
-                // The strip bit outside the atom's wires is free; one
-                // quartet per value of it, in the segment's (A, B) order
-                // (wire A as the quartet's most significant bit).
-                let fm = 7usize ^ am ^ bm;
-                for f in [0, fm] {
-                    let mut g = octet_quartet(o, [f, f | bm, f | am, f | am | bm]);
+                // Strip bits outside the atom's wires are free; one
+                // quartet per free value (one at N = 4, two at N = 8), in
+                // the segment's (A, B) order (wire A as the quartet's most
+                // significant bit).
+                for f in 0..N {
+                    if f & (am | bm) != 0 {
+                        continue;
+                    }
+                    let mut g = strip_quartet(o, [f, f | bm, f | am, f | am | bm]);
                     apply_unitary2(kernel, m, swapped, &mut g);
                 }
             }
-            Pass3q::Jump2(row, swapped, ab, bb) => {
+            Pass::Jump2(row, swapped, ab, bb) => {
                 let am = 1usize << ab;
                 let bm = 1usize << bb;
-                let fm = 7usize ^ am ^ bm;
-                for f in [0, fm] {
-                    let mut g = octet_quartet(o, [f, f | bm, f | am, f | am | bm]);
+                for f in 0..N {
+                    if f & (am | bm) != 0 {
+                        continue;
+                    }
+                    let mut g = strip_quartet(o, [f, f | bm, f | am, f | am | bm]);
                     jump2_inner(row, b, swapped, &mut g);
                 }
             }
-            Pass3q::Skip => {}
+            Pass::Skip => {}
         }
     }
     materialize_strips(&mut o.r, &mut o.i, &mut slot);
 }
 
-/// Executes a three-qubit pass chain over the whole panel in a single
-/// tiled pass — the octet counterpart of [`run_quartet_pass`]: each octet
-/// tile (eight strips in the supergroup's `(A, B, C)` wire basis) hosts
-/// the whole chain in cache, so a full entangling layer plus its noise
+/// Executes a supergroup's pass chain over the whole panel in a **single
+/// tiled pass**: each tile of `N = 2^k` strips (one per value of the `k`
+/// group wires, `wires` in `(u, v, w)` order) hosts the whole chain in
+/// cache before moving on, so a full entangling layer plus its noise
 /// interleave costs one panel memory pass.
-#[allow(clippy::too_many_arguments)]
-fn run_octet_pass(
+fn run_group_pass<const N: usize>(
     kernel: KernelMode,
     re: &mut [f64],
     im: &mut [f64],
     b: usize,
-    u: usize,
-    v: usize,
-    w: usize,
-    passes: &[Pass3q],
+    wires: &[usize],
+    passes: &[Pass],
 ) {
-    let su = (1usize << u) * b;
-    let sv = (1usize << v) * b;
-    let sw = (1usize << w) * b;
+    let k = wires.len();
     let total = re.len();
+    debug_assert_eq!(1usize << k, N, "{k} group wires need 2^{k} strips");
     debug_assert_eq!(total, im.len(), "re/im planes differ in length");
-    let mut sorted = [su, sv, sw];
+    let mut sorted = [0usize; SUPERGROUP_CAP];
+    sorted[..k].copy_from_slice(wires);
+    let sorted = &mut sorted[..k];
     sorted.sort_unstable();
-    let [s0, s1, s2] = sorted;
     debug_assert!(
         b > 0
-            && s0 < s1
-            && s1 < s2
-            && total.is_multiple_of(2 * s2)
-            && s2.is_multiple_of(2 * s1)
-            && s1.is_multiple_of(2 * s0),
-        "wire strides for ({u}, {v}, {w}) do not tile the {total}-element \
-         panel (wire out of range, aliased wires, or corrupt panel shape)"
+            && sorted.windows(2).all(|p| p[0] < p[1])
+            && total.is_multiple_of((2usize << sorted[k - 1]) * b),
+        "wires {wires:?} do not tile the {total}-element panel (wire out of \
+         range, aliased wires, or corrupt panel shape)"
     );
-    let tile = b * (TILE_ELEMS / b).max(1);
-    if s0 <= GATHER_STRIP_MAX {
-        // Low-wire groups: the natural octet strips are only `s0` elements
-        // long (as short as `b` when the lowest wire is qubit 0), so
-        // per-octet chain dispatch and vector remainders would dominate
-        // the actual arithmetic. Gather many short octets into one
-        // contiguous scratch octet and run the chain there instead.
-        run_octet_gathered(kernel, re, im, b, u, v, w, passes);
-        return;
-    }
-    let len_cap = tile.min(s0);
-    // Walk the panel as nested half-blocks of the three sorted strides:
-    // each tile start `ts` owns the octet at `ts + {0,su} + {0,sv} +
-    // {0,sw}`, and the loop bounds keep every combination disjoint and
-    // panel-covering (each stride divides the next, as asserted above).
-    let mut b2 = 0usize;
-    while b2 < total {
-        let mut b1 = b2;
-        while b1 < b2 + s2 {
-            let mut b0 = b1;
-            while b0 < b1 + s1 {
-                let mut ts = b0;
-                while ts < b0 + s0 {
-                    let len = len_cap.min(b0 + s0 - ts);
-                    let mut starts = [0usize; 8];
-                    for (lidx, start) in starts.iter_mut().enumerate() {
-                        *start = ts
-                            + if lidx & 4 != 0 { su } else { 0 }
-                            + if lidx & 2 != 0 { sv } else { 0 }
-                            + if lidx & 1 != 0 { sw } else { 0 };
-                    }
-                    let mut o = Octet {
-                        r: strips8(re, starts, len),
-                        i: strips8(im, starts, len),
-                    };
-                    chain_3q_tile(kernel, passes, &mut o, b);
-                    ts += len;
-                }
-                b0 += 2 * s0;
-            }
-            b1 += 2 * s1;
-        }
-        b2 += 2 * s2;
-    }
-}
-
-/// Longest natural strip (in elements) the gathered octet path takes
-/// over: above this the direct per-octet walk already amortises its
-/// dispatch cost over enough elements that the gather/scatter's two extra
-/// panel traversals would be a net loss (measured crossover on the
-/// guadalupe workload); at or below it the chain dispatch per tiny octet
-/// dominates the copies.
-const GATHER_STRIP_MAX: usize = 4;
-
-/// Small-stride variant of [`run_octet_pass`]: gathers `runs_cap` short
-/// octets (strip runs of `s0` elements each) into one contiguous scratch
-/// octet, runs the whole chain there, and scatters the strips back.
-///
-/// Concatenation is exact: every panel kernel is elementwise across strip
-/// positions (pair/quartet kernels combine equal positions of different
-/// strips, jump kernels map position `j` to column `j % b`), and each
-/// gathered run starts at a multiple of `s0` — itself a multiple of the
-/// column count `b` — so every element sees bit-for-bit the arithmetic it
-/// would see in its natural octet, just batched behind one chain dispatch
-/// instead of hundreds.
-#[allow(clippy::too_many_arguments)]
-fn run_octet_gathered(
-    kernel: KernelMode,
-    re: &mut [f64],
-    im: &mut [f64],
-    b: usize,
-    u: usize,
-    v: usize,
-    w: usize,
-    passes: &[Pass3q],
-) {
-    let su = (1usize << u) * b;
-    let sv = (1usize << v) * b;
-    let sw = (1usize << w) * b;
-    let total = re.len();
-    let mut sorted = [su, sv, sw];
-    sorted.sort_unstable();
-    let [s0, s1, s2] = sorted;
-    let tile = b * (TILE_ELEMS / b).max(1);
-    let runs_cap = (tile / s0).max(1);
-    let cap = runs_cap * s0;
-    // Octet-index → panel offset of that strip within a tile base.
-    let offs: [usize; 8] = std::array::from_fn(|lidx| {
-        (if lidx & 4 != 0 { su } else { 0 })
-            + (if lidx & 2 != 0 { sv } else { 0 })
-            + (if lidx & 1 != 0 { sw } else { 0 })
+    // Panel offset of each strip: wire `p` adds its stride at strip bit
+    // `k − 1 − p`.
+    let offs: [usize; N] = std::array::from_fn(|x| {
+        wires
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| (x >> (k - 1 - p)) & 1 != 0)
+            .map(|(_, &q)| (1usize << q) * b)
+            .sum()
     });
-    let mut sr = vec![0.0f64; 8 * cap];
-    let mut si = vec![0.0f64; 8 * cap];
-    let mut bases: Vec<usize> = Vec::with_capacity(runs_cap);
-    // Same panel walk as `run_octet_pass` (each base owns one octet of
-    // `s0`-element strips), buffering bases until a scratch fill.
-    let mut b2 = 0usize;
-    while b2 < total {
-        let mut b1 = b2;
-        while b1 < b2 + s2 {
-            let mut b0 = b1;
-            while b0 < b1 + s1 {
-                bases.push(b0);
-                if bases.len() == runs_cap {
-                    flush_gathered(
-                        kernel, passes, re, im, &bases, offs, s0, cap, &mut sr, &mut si, b,
-                    );
-                    bases.clear();
-                }
-                b0 += 2 * s0;
-            }
-            b1 += 2 * s1;
-        }
-        b2 += 2 * s2;
-    }
-    flush_gathered(
-        kernel, passes, re, im, &bases, offs, s0, cap, &mut sr, &mut si, b,
-    );
-}
-
-/// Gather → chain → scatter for one scratch fill of [`run_octet_gathered`].
-#[allow(clippy::too_many_arguments)]
-fn flush_gathered(
-    kernel: KernelMode,
-    passes: &[Pass3q],
-    re: &mut [f64],
-    im: &mut [f64],
-    bases: &[usize],
-    offs: [usize; 8],
-    s0: usize,
-    cap: usize,
-    sr: &mut [f64],
-    si: &mut [f64],
-    b: usize,
-) {
-    if bases.is_empty() {
-        return;
-    }
-    let run_len = bases.len() * s0;
-    for (lidx, &off) in offs.iter().enumerate() {
-        for (k, &ts) in bases.iter().enumerate() {
-            let dst = lidx * cap + k * s0;
-            sr[dst..dst + s0].copy_from_slice(&re[ts + off..ts + off + s0]);
-            si[dst..dst + s0].copy_from_slice(&im[ts + off..ts + off + s0]);
-        }
-    }
-    let starts: [usize; 8] = std::array::from_fn(|lidx| lidx * cap);
-    let mut o = Octet {
-        r: strips8(sr, starts, run_len),
-        i: strips8(si, starts, run_len),
-    };
-    chain_3q_tile(kernel, passes, &mut o, b);
-    for (lidx, &off) in offs.iter().enumerate() {
-        for (k, &ts) in bases.iter().enumerate() {
-            let src = lidx * cap + k * s0;
-            re[ts + off..ts + off + s0].copy_from_slice(&sr[src..src + s0]);
-            im[ts + off..ts + off + s0].copy_from_slice(&si[src..src + s0]);
+    // Every stride is the lowest one times a power of two, so the group
+    // bases — the panel positions with all `k` wire bits clear — are the
+    // lowest stride `s0` times the block index with a zero bit inserted
+    // at each wire's offset from the lowest wire. Enumerating blocks in
+    // increasing order walks the panel as nested half-blocks of the
+    // sorted strides, each base covering an `s0`-element run that is
+    // tiled at cache granularity.
+    let low = sorted[0];
+    let s0 = (1usize << low) * b;
+    let len_cap = (b * (TILE_ELEMS / b).max(1)).min(s0);
+    for blk in 0..(total / s0) >> k {
+        let base = s0
+            * sorted
+                .iter()
+                .fold(blk, |m, &q| insert_zero_bit(m, 1usize << (q - low)));
+        let mut ts = base;
+        while ts < base + s0 {
+            let len = len_cap.min(base + s0 - ts);
+            let mut o = Strips {
+                r: strips(re, offs.map(|d| ts + d), len),
+                i: strips(im, offs.map(|d| ts + d), len),
+            };
+            chain_tile(kernel, passes, &mut o, b);
+            ts += len;
         }
     }
 }
@@ -1872,166 +1405,85 @@ impl TrajectoryPanel {
                     s += 1;
                 }
             }
-            match (v, w) {
-                (None, _) => {
-                    // Single-qubit group: cheaper pair tiles.
-                    let mut passes: Vec<Pass1q> = Vec::new();
-                    let mut jump = 0usize;
-                    for seg in group_segs {
+            // The group's wires in (u, v, w) order; wire `p` of a `k`-wire
+            // group is strip bit `k − 1 − p` of its `2^k`-strip tiles.
+            let mut wires = [u, 0, 0];
+            let mut k = 1usize;
+            for q in [v, w].into_iter().flatten() {
+                wires[k] = q;
+                k += 1;
+            }
+            let wires = &wires[..k];
+            let bit_of = |q: usize| {
+                let p = wires
+                    .iter()
+                    .position(|&x| x == q)
+                    .expect("segment qubit outside the group's wire basis");
+                k - 1 - p
+            };
+            let mut passes: Vec<Pass> = Vec::new();
+            let mut jump = 0usize;
+            for seg in group_segs {
+                match seg.support() {
+                    Support::One(q) => {
+                        let wb = bit_of(q);
                         for atom in program.atoms_in(seg) {
                             match *atom {
                                 FusedAtom::Unitary1 { m2, class } => {
-                                    passes.push(Pass1q::Unitary(program.m2(m2), class));
+                                    passes.push(Pass::Unitary1(program.m2(m2), class, wb));
                                 }
                                 FusedAtom::Depol1 { .. } => {
                                     passes.push(if any[jump] {
-                                        Pass1q::Jump(&rows[jump * b..(jump + 1) * b])
+                                        Pass::Jump1(&rows[jump * b..(jump + 1) * b], wb)
                                     } else {
-                                        Pass1q::Skip
+                                        Pass::Skip
                                     });
                                     jump += 1;
                                 }
-                                _ => unreachable!("two-qubit atom in one-qubit group"),
+                                _ => unreachable!("two-qubit atom in one-qubit segment"),
                             }
                         }
                     }
-                    run_pair_pass(kernel, &mut self.re, &mut self.im, b, u, &passes);
-                }
-                (Some(v), None) => {
-                    let mut passes: Vec<Pass2q> = Vec::new();
-                    let mut jump = 0usize;
-                    for seg in group_segs {
-                        // Orientation of this segment inside the group's
-                        // (u, v) wire basis.
-                        let flip = match seg.support() {
-                            Support::One(_) => false,
-                            Support::Two(a, _) => a != u,
-                        };
-                        let on_b = match seg.support() {
-                            Support::One(q) => q == v,
-                            Support::Two(..) => false,
-                        };
+                    Support::Two(a, bq) => {
+                        let ab = bit_of(a);
+                        let bb = bit_of(bq);
                         for atom in program.atoms_in(seg) {
                             match *atom {
-                                FusedAtom::Unitary1 { m2, class } => {
-                                    passes.push(Pass2q::Unitary1(program.m2(m2), class, on_b));
-                                }
-                                FusedAtom::Depol1 { .. } => {
-                                    passes.push(if any[jump] {
-                                        Pass2q::Jump1(&rows[jump * b..(jump + 1) * b], on_b)
-                                    } else {
-                                        Pass2q::Skip
-                                    });
-                                    jump += 1;
-                                }
                                 FusedAtom::Cx { control } => {
-                                    passes.push(if (control == Wire::A) != flip {
-                                        Pass2q::SwapA
+                                    let (cb, tb) = if control == Wire::A {
+                                        (ab, bb)
                                     } else {
-                                        Pass2q::SwapB
-                                    });
+                                        (bb, ab)
+                                    };
+                                    passes.push(Pass::Swap(cb, tb));
                                 }
                                 FusedAtom::Unitary2 { m4, swapped } => {
-                                    passes.push(Pass2q::Unitary(program.m4(m4), swapped != flip));
+                                    passes.push(Pass::Unitary2(program.m4(m4), swapped, ab, bb));
                                 }
                                 FusedAtom::Depol2 { swapped, .. } => {
                                     passes.push(if any[jump] {
-                                        Pass2q::Jump(
+                                        Pass::Jump2(
                                             &rows[jump * b..(jump + 1) * b],
-                                            swapped != flip,
+                                            swapped,
+                                            ab,
+                                            bb,
                                         )
                                     } else {
-                                        Pass2q::Skip
+                                        Pass::Skip
                                     });
                                     jump += 1;
                                 }
+                                _ => unreachable!("one-qubit atom in two-qubit segment"),
                             }
                         }
                     }
-                    run_quartet_pass(kernel, &mut self.re, &mut self.im, b, u, v, &passes);
                 }
-                (Some(v), Some(w)) => {
-                    // Three-qubit group: octet tiles in the group's
-                    // (u, v, w) wire basis (strip bits 2, 1, 0).
-                    let bit_of = |q: usize| {
-                        if q == u {
-                            2usize
-                        } else if q == v {
-                            1
-                        } else {
-                            debug_assert_eq!(q, w, "segment qubit outside the group's wire basis");
-                            0
-                        }
-                    };
-                    let mut passes: Vec<Pass3q> = Vec::new();
-                    let mut jump = 0usize;
-                    for seg in group_segs {
-                        match seg.support() {
-                            Support::One(q) => {
-                                let wb = bit_of(q);
-                                for atom in program.atoms_in(seg) {
-                                    match *atom {
-                                        FusedAtom::Unitary1 { m2, class } => {
-                                            passes.push(Pass3q::Unitary1(
-                                                program.m2(m2),
-                                                class,
-                                                wb,
-                                            ));
-                                        }
-                                        FusedAtom::Depol1 { .. } => {
-                                            passes.push(if any[jump] {
-                                                Pass3q::Jump1(&rows[jump * b..(jump + 1) * b], wb)
-                                            } else {
-                                                Pass3q::Skip
-                                            });
-                                            jump += 1;
-                                        }
-                                        _ => unreachable!("two-qubit atom in one-qubit segment"),
-                                    }
-                                }
-                            }
-                            Support::Two(a, bq) => {
-                                let ab = bit_of(a);
-                                let bb = bit_of(bq);
-                                for atom in program.atoms_in(seg) {
-                                    match *atom {
-                                        FusedAtom::Cx { control } => {
-                                            let (cb, tb) = if control == Wire::A {
-                                                (ab, bb)
-                                            } else {
-                                                (bb, ab)
-                                            };
-                                            passes.push(Pass3q::Swap(cb, tb));
-                                        }
-                                        FusedAtom::Unitary2 { m4, swapped } => {
-                                            passes.push(Pass3q::Unitary2(
-                                                program.m4(m4),
-                                                swapped,
-                                                ab,
-                                                bb,
-                                            ));
-                                        }
-                                        FusedAtom::Depol2 { swapped, .. } => {
-                                            passes.push(if any[jump] {
-                                                Pass3q::Jump2(
-                                                    &rows[jump * b..(jump + 1) * b],
-                                                    swapped,
-                                                    ab,
-                                                    bb,
-                                                )
-                                            } else {
-                                                Pass3q::Skip
-                                            });
-                                            jump += 1;
-                                        }
-                                        _ => unreachable!("one-qubit atom in two-qubit segment"),
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    run_octet_pass(kernel, &mut self.re, &mut self.im, b, u, v, w, &passes);
-                }
+            }
+            let (re, im) = (&mut self.re, &mut self.im);
+            match k {
+                1 => run_group_pass::<2>(kernel, re, im, b, wires, &passes),
+                2 => run_group_pass::<4>(kernel, re, im, b, wires, &passes),
+                _ => run_group_pass::<8>(kernel, re, im, b, wires, &passes),
             }
         }
         // Uniform-consumption invariant: the panel pass must drain exactly
@@ -2091,7 +1543,8 @@ impl TrajectoryPanel {
 
 /// Batched counterpart of [`estimate_prob_one`]: averages `n_trajectories`
 /// seeded trajectories executed as [`TrajectoryPanel`] chunks of at most
-/// `panel_width` columns.
+/// `panel_width` columns — the one-probe case of
+/// [`estimate_prob_one_panel_multi`].
 ///
 /// **Bit-identical** to [`estimate_prob_one`] for every `(seed,
 /// n_trajectories)` and every `panel_width`: the jump uniforms are
@@ -2114,44 +1567,9 @@ pub fn estimate_prob_one_panel(
     seed: u64,
     panel_width: usize,
 ) -> TrajectoryEstimate {
-    assert!(n_trajectories > 0, "need at least one trajectory");
-    assert!(panel_width > 0, "panel width must be positive");
-    for &q in qubits {
-        assert!(q < program.n_qubits(), "qubit {q} out of range");
-    }
-    let n = if program.is_deterministic() {
-        1
-    } else {
-        n_trajectories
-    };
-    let n_stoch = program.n_stochastic_atoms();
-    let width = panel_width.min(MAX_PANEL_WIDTH);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sum = vec![0.0f64; qubits.len()];
-    let mut sum_sq = vec![0.0f64; qubits.len()];
-    let mut remaining = n as usize;
-    while remaining > 0 {
-        let b = width.min(remaining);
-        // Pre-draw this chunk's jump uniforms in trajectory-major order;
-        // the buffer lives on the panel so steady-state chunks allocate
-        // nothing.
-        let mut uniforms = std::mem::take(&mut panel.uniforms);
-        uniforms.clear();
-        uniforms.extend((0..b * n_stoch).map(|_| rng.gen::<f64>()));
-        panel.reset_zero(program.n_qubits(), b);
-        panel.run_stochastic(program, &uniforms);
-        panel.uniforms = uniforms;
-        let probs = panel.probs_one_all();
-        for c in 0..b {
-            for (i, &q) in qubits.iter().enumerate() {
-                let p = probs[q * b + c];
-                sum[i] += p;
-                sum_sq[i] += p * p;
-            }
-        }
-        remaining -= b;
-    }
-    finish_estimate(qubits, sum, sum_sq, n)
+    estimate_prob_one_panel_multi(panel, program, qubits, n_trajectories, &[seed], panel_width)
+        .pop()
+        .expect("one estimate per seed")
 }
 
 /// Multi-probe counterpart of [`estimate_prob_one_panel`]: evaluates one
@@ -2176,9 +1594,9 @@ pub fn estimate_prob_one_panel(
 /// each column's amplitude arithmetic is independent of its neighbours,
 /// and each probe's `P(1)` accumulation visits its trajectories in
 /// increasing trajectory order regardless of where chunk boundaries fall.
-/// Deterministic programs short-circuit to one exact pass shared by every
-/// probe — the single-probe entry never consumes a uniform there, so its
-/// result is seed-independent and the sharing is exact.
+/// Deterministic programs short-circuit to one exact single-trajectory
+/// pass shared by every probe: it consumes no uniform, so its result is
+/// seed-independent and the sharing is exact.
 ///
 /// # Panics
 ///
@@ -2199,29 +1617,25 @@ pub fn estimate_prob_one_panel_multi(
     if seeds.is_empty() {
         return Vec::new();
     }
-    if program.is_deterministic() {
-        let est = estimate_prob_one_panel(
-            panel,
-            program,
-            qubits,
-            n_trajectories,
-            seeds[0],
-            panel_width,
-        );
-        return vec![est; seeds.len()];
-    }
-    let n = n_trajectories as usize;
+    let (n_traj, probes) = if program.is_deterministic() {
+        (1, &seeds[..1])
+    } else {
+        (n_trajectories, seeds)
+    };
+    let n = n_traj as usize;
     let n_stoch = program.n_stochastic_atoms();
     let width = panel_width.min(MAX_PANEL_WIDTH);
-    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+    let mut rngs: Vec<StdRng> = probes.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
     let nq = qubits.len();
-    let mut sum = vec![0.0f64; seeds.len() * nq];
-    let mut sum_sq = vec![0.0f64; seeds.len() * nq];
-    let total = seeds.len() * n;
+    let mut sum = vec![0.0f64; probes.len() * nq];
+    let mut sum_sq = vec![0.0f64; probes.len() * nq];
+    let total = probes.len() * n;
     let mut owners: Vec<usize> = Vec::with_capacity(width);
     let mut start = 0usize;
     while start < total {
         let b = width.min(total - start);
+        // Pre-draw this chunk's jump uniforms; the buffer lives on the
+        // panel so steady-state chunks allocate nothing.
         let mut uniforms = std::mem::take(&mut panel.uniforms);
         uniforms.clear();
         owners.clear();
@@ -2246,16 +1660,21 @@ pub fn estimate_prob_one_panel_multi(
         }
         start += b;
     }
-    (0..seeds.len())
+    let mut ests: Vec<TrajectoryEstimate> = (0..probes.len())
         .map(|p| {
             finish_estimate(
                 qubits,
                 sum[p * nq..(p + 1) * nq].to_vec(),
                 sum_sq[p * nq..(p + 1) * nq].to_vec(),
-                n_trajectories,
+                n_traj,
             )
         })
-        .collect()
+        .collect();
+    if ests.len() < seeds.len() {
+        let shared = ests[0].clone();
+        ests.resize(seeds.len(), shared);
+    }
+    ests
 }
 
 /// Per-qubit `P(1)` estimate from a batch of trajectories, with the
@@ -2799,6 +2218,29 @@ mod tests {
     #[should_panic(expected = "positive integer")]
     fn panel_width_rejects_zero_value() {
         let _ = panel_width_from_value(Some("0"), 16, 256);
+    }
+
+    #[test]
+    fn force_scalar_value_resolution() {
+        // Unset or `0` keeps the host's choice; `1` pins the oracle.
+        assert_eq!(KernelMode::from_value(None, true), KernelMode::Avx2);
+        assert_eq!(KernelMode::from_value(Some("0"), true), KernelMode::Avx2);
+        assert_eq!(KernelMode::from_value(Some("1"), true), KernelMode::Scalar);
+        assert_eq!(
+            KernelMode::from_value(Some(" 1 "), true),
+            KernelMode::Scalar
+        );
+        // A host without AVX2 runs the scalar kernels either way.
+        assert_eq!(KernelMode::from_value(None, false), KernelMode::Scalar);
+        assert_eq!(KernelMode::from_value(Some("0"), false), KernelMode::Scalar);
+    }
+
+    #[test]
+    #[should_panic(expected = "QUCAD_FORCE_SCALAR must be 0 or 1, got 'false'")]
+    fn force_scalar_rejects_words() {
+        // Empty and whitespace-only values fail the same parse
+        // (`config::parse_flag`'s tests).
+        let _ = KernelMode::from_value(Some("false"), true);
     }
 
     #[test]

@@ -13,8 +13,6 @@ use quasim::trajectory::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const N_QUBITS: usize = 4;
-
 #[derive(Debug, Clone)]
 enum AtomSpec {
     Gate1(u8, usize, f64),
@@ -46,7 +44,21 @@ fn arb_atom(n: usize) -> impl Strategy<Value = AtomSpec> {
         )
 }
 
-fn build_program(specs: &[AtomSpec]) -> FusedProgram {
+/// A register size with a program over it. Sizes 1 and 2 pin the one- and
+/// two-wire strip groups (no supergroup there can span three wires), 3 to
+/// 5 the eight-strip groups with every placement of their wires.
+fn arb_program(atoms: std::ops::Range<usize>) -> impl Strategy<Value = (usize, Vec<AtomSpec>)> {
+    use proptest::collection::vec;
+    prop_oneof![
+        vec(arb_atom(1), atoms.clone()).prop_map(|s| (1, s)),
+        vec(arb_atom(2), atoms.clone()).prop_map(|s| (2, s)),
+        vec(arb_atom(3), atoms.clone()).prop_map(|s| (3, s)),
+        vec(arb_atom(4), atoms.clone()).prop_map(|s| (4, s)),
+        vec(arb_atom(5), atoms).prop_map(|s| (5, s)),
+    ]
+}
+
+fn build_program(n_qubits: usize, specs: &[AtomSpec]) -> FusedProgram {
     let g1 = [
         GateKind::H,
         GateKind::X,
@@ -63,7 +75,7 @@ fn build_program(specs: &[AtomSpec]) -> FusedProgram {
         GateKind::Swap,
         GateKind::Cry,
     ];
-    let mut b = ProgramBuilder::new(N_QUBITS);
+    let mut b = ProgramBuilder::new(n_qubits);
     for spec in specs {
         match *spec {
             AtomSpec::Gate1(k, q, theta) => {
@@ -83,26 +95,27 @@ fn build_program(specs: &[AtomSpec]) -> FusedProgram {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The panel estimate equals the per-trajectory estimate bit for bit
     /// at every width, including widths that split the budget into uneven
     /// chunks and widths larger than the budget.
     #[test]
     fn panel_estimate_bit_identical_at_every_width(
-        specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..30),
+        prog in arb_program(1..30),
         seed in any::<u64>(),
         n_traj in 1u32..40,
         width in 1usize..48,
     ) {
-        let program = build_program(&specs);
-        let qubits: Vec<usize> = (0..N_QUBITS).collect();
+        let (n_qubits, specs) = prog;
+        let program = build_program(n_qubits, &specs);
+        let qubits: Vec<usize> = (0..n_qubits).collect();
         let mut ws = TrajectoryWorkspace::new();
         let reference = estimate_prob_one(&mut ws, &program, &qubits, n_traj, seed);
         let mut panel = TrajectoryPanel::new();
         let got = estimate_prob_one_panel(&mut panel, &program, &qubits, n_traj, seed, width);
         prop_assert_eq!(got.n_trajectories, reference.n_trajectories);
-        for q in 0..N_QUBITS {
+        for q in 0..n_qubits {
             prop_assert!(
                 got.p_one[q].to_bits() == reference.p_one[q].to_bits(),
                 "width {} qubit {} p_one: {} vs {}",
@@ -121,23 +134,24 @@ proptest! {
     /// independent trajectories, not an approximation of them.
     #[test]
     fn panel_columns_bit_identical_to_sequential_runs(
-        specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..25),
+        prog in arb_program(1..25),
         seed in any::<u64>(),
         batch in 1usize..12,
     ) {
-        let program = build_program(&specs);
+        let (n_qubits, specs) = prog;
+        let program = build_program(n_qubits, &specs);
         let n_stoch = program.n_stochastic_atoms();
         let mut rng = StdRng::seed_from_u64(seed);
         let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();
 
         let mut panel = TrajectoryPanel::new();
-        panel.reset_zero(N_QUBITS, batch);
+        panel.reset_zero(n_qubits, batch);
         panel.run_stochastic(&program, &uniforms);
 
         let mut replay = StdRng::seed_from_u64(seed);
         let mut ws = TrajectoryWorkspace::new();
         for c in 0..batch {
-            ws.reset_zero(N_QUBITS);
+            ws.reset_zero(n_qubits);
             ws.run_stochastic(&program, &mut replay);
             let col = panel.column(c);
             for (i, (a, b)) in col.iter().zip(ws.amplitudes().iter()).enumerate() {
@@ -193,24 +207,25 @@ proptest! {
     /// association order, so this holds exactly, not approximately).
     #[test]
     fn scalar_and_avx2_panels_bit_identical(
-        specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..25),
+        prog in arb_program(1..25),
         seed in any::<u64>(),
         batch in 1usize..12,
     ) {
+        let (n_qubits, specs) = prog;
         if KernelMode::avx2_supported() {
-            let program = build_program(&specs);
+            let program = build_program(n_qubits, &specs);
             let n_stoch = program.n_stochastic_atoms();
             let mut rng = StdRng::seed_from_u64(seed);
             let uniforms: Vec<f64> = (0..batch * n_stoch).map(|_| rng.gen()).collect();
 
             let mut scalar = TrajectoryPanel::new();
             scalar.set_kernel_mode(KernelMode::Scalar);
-            scalar.reset_zero(N_QUBITS, batch);
+            scalar.reset_zero(n_qubits, batch);
             scalar.run_stochastic(&program, &uniforms);
 
             let mut avx2 = TrajectoryPanel::new();
             avx2.set_kernel_mode(KernelMode::Avx2);
-            avx2.reset_zero(N_QUBITS, batch);
+            avx2.reset_zero(n_qubits, batch);
             avx2.run_stochastic(&program, &uniforms);
 
             for c in 0..batch {
@@ -232,19 +247,20 @@ proptest! {
     /// short remainder chunk's draw-stream alignment.
     #[test]
     fn ragged_final_chunks_bit_identical(
-        specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..25),
+        prog in arb_program(1..25),
         seed in any::<u64>(),
         n_traj in 1u32..40,
     ) {
-        let program = build_program(&specs);
-        let qubits: Vec<usize> = (0..N_QUBITS).collect();
+        let (n_qubits, specs) = prog;
+        let program = build_program(n_qubits, &specs);
+        let qubits: Vec<usize> = (0..n_qubits).collect();
         let mut ws = TrajectoryWorkspace::new();
         let reference = estimate_prob_one(&mut ws, &program, &qubits, n_traj, seed);
         for width in [1usize, 3, 16, n_traj as usize + 1] {
             let mut panel = TrajectoryPanel::new();
             let got = estimate_prob_one_panel(&mut panel, &program, &qubits, n_traj, seed, width);
             prop_assert_eq!(got.n_trajectories, reference.n_trajectories);
-            for q in 0..N_QUBITS {
+            for q in 0..n_qubits {
                 prop_assert!(
                     got.p_one[q].to_bits() == reference.p_one[q].to_bits(),
                     "width {} qubit {} p_one: {} vs {}",
@@ -263,13 +279,14 @@ proptest! {
     /// per-qubit walk bit for bit on arbitrary reachable states.
     #[test]
     fn probs_one_all_matches_prob_one(
-        specs in proptest::collection::vec(arb_atom(N_QUBITS), 1..25),
+        prog in arb_program(1..25),
         seed in any::<u64>(),
     ) {
-        let program = build_program(&specs);
+        let (n_qubits, specs) = prog;
+        let program = build_program(n_qubits, &specs);
         let mut ws = TrajectoryWorkspace::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        ws.reset_zero(N_QUBITS);
+        ws.reset_zero(n_qubits);
         ws.run_stochastic(&program, &mut rng);
         let all = ws.probs_one_all();
         for (q, p) in all.iter().enumerate() {
